@@ -168,15 +168,14 @@ Result<EigenResult> SymmetricEigen(const Tensor& a, int max_sweeps,
 Result<EigenResult> TopKEigen(const Tensor& a, int64_t k, uint64_t seed,
                               int max_iters, double tol) {
   TSFM_TRACE_SPAN("linalg.topk_eigen");
-  static obs::Counter* const counter =
-      obs::Registry::Instance().GetCounter("linalg.eigen_calls");
-  counter->Add(1);
   if (a.ndim() != 2 || a.dim(0) != a.dim(1)) {
     return Status::InvalidArgument("TopKEigen requires a square matrix");
   }
   const int64_t d = a.dim(0);
   if (k <= 0 || k > d) return Status::InvalidArgument("TopKEigen: k out of range");
 
+  // Either path runs SymmetricEigen exactly once (on `a`, or on the
+  // Rayleigh-Ritz block), which counts the call in linalg.eigen_calls.
   // Small problems: exact Jacobi, then truncate.
   if (d <= 128) {
     TSFM_ASSIGN_OR_RETURN(EigenResult full, SymmetricEigen(a));

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "simd/dispatch.h"
 
@@ -202,6 +203,14 @@ void QuantMatMul(const float* a, int64_t m, const QuantizedMatrix& q,
                  float* c) {
   const int64_t k = q.rows, n = q.cols;
   TSFM_CHECK(!q.packed.empty()) << "QuantMatMul: matrix not packed";
+  // Same work counters as the fp32 MatMul, so int8 layers show up in
+  // tensor.matmul_flops: one relaxed add each per call.
+  static obs::Counter* const calls =
+      obs::Registry::Instance().GetCounter("tensor.matmul_calls");
+  static obs::Counter* const flops =
+      obs::Registry::Instance().GetCounter("tensor.matmul_flops");
+  calls->Add(1);
+  flops->Add(static_cast<uint64_t>(2 * m * k * n));
   const int64_t kp = (k + 1) / 2;
   // Chunk size depends only on the shape, never on the thread count, so the
   // row partition (and with it every output bit) is thread-count invariant.

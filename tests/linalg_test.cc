@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "linalg/linalg.h"
+#include "obs/metrics.h"
 #include "tensor/ops.h"
 
 namespace tsfm {
@@ -144,6 +145,19 @@ TEST(TopKEigenTest, SubspaceIterationOnLargeMatrix) {
     EXPECT_GE(r->eigenvalues[j - 1], r->eigenvalues[j] - 1e-4f);
   }
   EXPECT_GE(r->eigenvalues[4], -1e-4f);
+}
+
+TEST(TopKEigenTest, CountsEachDecompositionOnce) {
+  const obs::Counter* calls =
+      obs::Registry::Instance().GetCounter("linalg.eigen_calls");
+  Rng rng(29);
+  // d=20 delegates to Jacobi; d=150 runs subspace iteration.
+  for (int64_t d : {20, 150}) {
+    Tensor a = RandomSymmetricPsd(d, &rng);
+    const uint64_t before = calls->value();
+    ASSERT_TRUE(TopKEigen(a, 3).ok());
+    EXPECT_EQ(calls->value() - before, 1u) << "d=" << d;
+  }
 }
 
 TEST(TopKEigenTest, RejectsBadK) {

@@ -27,6 +27,7 @@
 #include "models/moment.h"
 #include "nn/layers.h"
 #include "nn/serialize.h"
+#include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "simd/dispatch.h"
 #include "simd/quant.h"
@@ -334,6 +335,23 @@ TEST(QuantTest, QuantMatMulCloseToFp32AndSelfConsistent) {
   EXPECT_EQ(std::memcmp(got.data(), again.data(),
                         sizeof(float) * static_cast<size_t>(m * n)),
             0);
+}
+
+TEST(QuantTest, QuantMatMulCountsFlops) {
+  Rng rng(24);
+  const int64_t m = 5, k = 12, n = 7;
+  Tensor a = Tensor::RandN({m, k}, &rng);
+  Tensor w = Tensor::RandN({k, n}, &rng);
+  const simd::QuantizedMatrix q = simd::QuantizeWeight(w.data(), k, n);
+  auto& registry = obs::Registry::Instance();
+  const obs::Counter* calls = registry.GetCounter("tensor.matmul_calls");
+  const obs::Counter* flops = registry.GetCounter("tensor.matmul_flops");
+  const uint64_t calls_before = calls->value();
+  const uint64_t flops_before = flops->value();
+  Tensor c = Tensor::Empty({m, n});
+  simd::QuantMatMul(a.data(), m, q, c.mutable_data());
+  EXPECT_EQ(calls->value() - calls_before, 1u);
+  EXPECT_EQ(flops->value() - flops_before, static_cast<uint64_t>(2 * m * k * n));
 }
 
 TEST(QuantTest, QuantMatMulBitIdenticalAcrossThreadCounts) {

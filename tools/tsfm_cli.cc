@@ -131,7 +131,10 @@ namespace {
 
 using ArgMap = std::map<std::string, std::string>;
 
-ArgMap ParseArgs(int argc, char** argv, int start) {
+// Parses --key value pairs from argv[start..]. Returns nullopt (after naming
+// the flag on stderr) when a flag that takes a value has none: it is last,
+// or the next token is another flag.
+std::optional<ArgMap> ParseArgs(int argc, char** argv, int start) {
   ArgMap args;
   for (int i = start; i < argc; ++i) {
     if (std::strncmp(argv[i], "--", 2) != 0) continue;
@@ -158,6 +161,9 @@ ArgMap ParseArgs(int argc, char** argv, int start) {
     } else if (next_is_value) {
       const std::string key = argv[i] + 2;
       args[key] = argv[++i];
+    } else {
+      std::fprintf(stderr, "flag %s needs a value\n", argv[i]);
+      return std::nullopt;
     }
   }
   return args;
@@ -833,7 +839,9 @@ int Usage() {
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const ArgMap args = ParseArgs(argc, argv, 2);
+  const std::optional<ArgMap> parsed = ParseArgs(argc, argv, 2);
+  if (!parsed) return Usage();
+  const ArgMap& args = *parsed;
 
   if (const std::string threads = GetOr(args, "threads", "");
       !threads.empty()) {
