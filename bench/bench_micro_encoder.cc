@@ -1,12 +1,15 @@
 // Ablation micro-benchmark: foundation-model encoding cost as a function of
 // the channel count D. Univariate TSFMs process each channel independently,
 // so cost grows linearly in D — the bottleneck the paper's adapters remove by
-// reducing D to D' = 5 up front.
+// reducing D to D' = 5 up front. Also the fp32-vs-int8 encoder-forward pair
+// that carries the quantization gate in tools/bench_compare.py.
 
 #include <benchmark/benchmark.h>
 
+#include "memory/buffer_pool.h"
 #include "models/moment.h"
 #include "models/vit.h"
+#include "simd/dispatch.h"
 #include "tensor/ops.h"
 
 namespace tsfm {
@@ -73,6 +76,56 @@ void BM_NoGradSavesMemoryAndTime(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NoGradSavesMemoryAndTime);
+
+// Peak pool bytes of one `fn()` call, measured after a warmup call so
+// lazily-built state (quantized weights, pool freelists) is excluded.
+template <typename Fn>
+double MeasurePeakBytes(const Fn& fn) {
+  auto& pool = memory::BufferPool::Instance();
+  fn();  // warm caches and freelists
+  const uint64_t before = pool.Snapshot().live_bytes;
+  pool.ResetPeak();
+  fn();
+  const uint64_t peak = pool.Snapshot().peak_live_bytes;
+  return static_cast<double>(peak - before);
+}
+
+// Quantized-inference pair: the same frozen encoder forward at bench scale
+// (MomentSmallConfig, d_model 64 / d_hidden 128 — the test config's d=16
+// matmuls are too small for quantization to pay for its per-row activation
+// pass) in fp32 against int8. The paired CI gate requires
+// BM_EncoderForwardInt8 <= 0.67x BM_EncoderForwardFp32 (>= 1.5x speedup).
+// Each reports a `peak_bytes` counter: the BufferPool high-water delta of
+// one forward, measured outside the timed loop.
+constexpr int64_t kQuantBatch = 4;
+constexpr int64_t kQuantSteps = 64;
+constexpr int64_t kQuantChannels = 8;
+
+void EncoderForwardPair(benchmark::State& state, bool int8) {
+  Rng rng(3);
+  models::MomentModel model(models::MomentSmallConfig(), &rng);
+  Tensor x = Tensor::RandN({kQuantBatch, kQuantSteps, kQuantChannels}, &rng);
+  nn::ForwardContext ctx{false, nullptr};
+  simd::ScopedQuantMode quant(int8);
+  ag::NoGradGuard guard;
+  if (int8) model.PrepareQuantized();  // scales computed once, as at load
+  const auto fwd = [&] {
+    ag::Var emb = model.EncodeChannels(ag::Constant(x), ctx);
+    benchmark::DoNotOptimize(emb.value().data());
+  };
+  state.counters["peak_bytes"] = MeasurePeakBytes(fwd);
+  for (auto _ : state) fwd();
+}
+
+void BM_EncoderForwardFp32(benchmark::State& state) {
+  EncoderForwardPair(state, /*int8=*/false);
+}
+BENCHMARK(BM_EncoderForwardFp32);
+
+void BM_EncoderForwardInt8(benchmark::State& state) {
+  EncoderForwardPair(state, /*int8=*/true);
+}
+BENCHMARK(BM_EncoderForwardInt8);
 
 }  // namespace
 }  // namespace tsfm

@@ -19,7 +19,6 @@
 #include "optim/optim.h"
 #include "pipeline/session.h"
 #include "runtime/thread_pool.h"
-#include "simd/dispatch.h"
 #include "simd/quant.h"
 #include "tensor/ops.h"
 
@@ -59,11 +58,9 @@ void BM_Softmax(benchmark::State& state) {
 }
 BENCHMARK(BM_Softmax)->Arg(64)->Arg(1024);
 
-// SIMD-mode row kernels against the scalar fp32 kernels they replace:
-// Arg(0) = scalar mode, Arg(1) = SIMD mode. Both are watched by
-// bench_compare.py, so a regression in either dispatch path trips CI.
+// Fused softmax and GELU row kernels over a 256x256 tensor. Both are
+// watched by bench_compare.py, so a regression in either trips CI.
 void BM_SoftmaxRow(benchmark::State& state) {
-  simd::ScopedSimdMode mode(state.range(0) != 0);
   Rng rng(31);
   Tensor t = Tensor::RandN({256, 256}, &rng);
   for (auto _ : state) {
@@ -71,10 +68,9 @@ void BM_SoftmaxRow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * t.numel());
 }
-BENCHMARK(BM_SoftmaxRow)->Arg(0)->Arg(1);
+BENCHMARK(BM_SoftmaxRow);
 
 void BM_GeluRow(benchmark::State& state) {
-  simd::ScopedSimdMode mode(state.range(0) != 0);
   Rng rng(32);
   Tensor t = Tensor::RandN({256, 256}, &rng);
   for (auto _ : state) {
@@ -82,12 +78,12 @@ void BM_GeluRow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * t.numel());
 }
-BENCHMARK(BM_GeluRow)->Arg(0)->Arg(1);
+BENCHMARK(BM_GeluRow);
 
 // Int8 dynamically-quantized matmul (quantize activations per row, int32
 // accumulate, dequantize) against nothing but itself over sizes — the
-// fp32-vs-int8 end-to-end comparison lives in bench_micro_graph.cc as a
-// paired gate.
+// fp32-vs-int8 encoder-forward comparison lives in bench_micro_encoder.cc
+// as a paired gate.
 void BM_QuantMatMul(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(33);

@@ -1,11 +1,10 @@
 #include "autograd/ops.h"
 
-#include <cmath>
 #include <utility>
 
-#include "autograd/capture.h"
 #include "common/check.h"
 #include "runtime/thread_pool.h"
+#include "simd/simd_math.h"
 #include "tensor/ops.h"
 
 namespace tsfm::ag {
@@ -14,17 +13,6 @@ namespace {
 
 using internal::MakeNode;
 using internal::Node;
-using Cap = capture::OpKind;
-
-// Reports `r` to any active capture sink (see autograd/capture.h) and
-// returns it; keeps each op's return statement a one-liner. Ops without a
-// Recorded() wrapper are invisible to capture, which makes a graph capture
-// that consumes their output fail cleanly into the eager fallback.
-Var Recorded(Cap op, std::initializer_list<const Var*> inputs, Var r,
-             const capture::Attrs& attrs = {}) {
-  capture::MaybeRecord(op, inputs, r, attrs);
-  return r;
-}
 
 int64_t NormalizeAxis(int64_t axis, int64_t ndim) {
   if (axis < 0) axis += ndim;
@@ -72,41 +60,37 @@ Var Constant(const Tensor& t) { return Var(t, /*requires_grad=*/false); }
 
 Var Add(const Var& a, const Var& b) {
   Tensor out = tsfm::Add(a.value(), b.value());
-  return Recorded(
-      Cap::kAdd, {&a, &b},
-      MakeNode(
-          std::move(out), {a, b},
-          [](Node* n) {
-            AccumulateIfNeeded(
-                n->inputs[0],
-                ReduceToShape(n->grad, n->inputs[0]->value.shape()));
-            AccumulateIfNeeded(
-                n->inputs[1],
-                ReduceToShape(n->grad, n->inputs[1]->value.shape()));
-          },
-          "Add"));
+  return MakeNode(
+      std::move(out), {a, b},
+      [](Node* n) {
+        AccumulateIfNeeded(
+            n->inputs[0],
+            ReduceToShape(n->grad, n->inputs[0]->value.shape()));
+        AccumulateIfNeeded(
+            n->inputs[1],
+            ReduceToShape(n->grad, n->inputs[1]->value.shape()));
+      },
+      "Add");
 }
 
 Var Sub(const Var& a, const Var& b) {
   Tensor out = tsfm::Sub(a.value(), b.value());
-  return Recorded(
-      Cap::kSub, {&a, &b},
-      MakeNode(
-          std::move(out), {a, b},
-          [](Node* n) {
-            AccumulateIfNeeded(
-                n->inputs[0],
-                ReduceToShape(n->grad, n->inputs[0]->value.shape()));
-            AccumulateIfNeeded(
-                n->inputs[1],
-                ReduceToShape(tsfm::Neg(n->grad), n->inputs[1]->value.shape()));
-          },
-          "Sub"));
+  return MakeNode(
+      std::move(out), {a, b},
+      [](Node* n) {
+        AccumulateIfNeeded(
+            n->inputs[0],
+            ReduceToShape(n->grad, n->inputs[0]->value.shape()));
+        AccumulateIfNeeded(
+            n->inputs[1],
+            ReduceToShape(tsfm::Neg(n->grad), n->inputs[1]->value.shape()));
+      },
+      "Sub");
 }
 
 Var Mul(const Var& a, const Var& b) {
   Tensor out = tsfm::Mul(a.value(), b.value());
-  return Recorded(Cap::kMul, {&a, &b}, MakeNode(
+  return MakeNode(
       std::move(out), {a, b},
       [](Node* n) {
         AccumulateIfNeeded(
@@ -118,12 +102,12 @@ Var Mul(const Var& a, const Var& b) {
             ReduceToShape(tsfm::Mul(n->grad, n->inputs[0]->value),
                           n->inputs[1]->value.shape()));
       },
-      "Mul"));
+      "Mul");
 }
 
 Var Div(const Var& a, const Var& b) {
   Tensor out = tsfm::Div(a.value(), b.value());
-  return Recorded(Cap::kDiv, {&a, &b}, MakeNode(
+  return MakeNode(
       std::move(out), {a, b},
       [](Node* n) {
         const Tensor& av = n->inputs[0]->value;
@@ -137,130 +121,106 @@ Var Div(const Var& a, const Var& b) {
           n->inputs[1]->AccumulateGrad(ReduceToShape(gb, bv.shape()));
         }
       },
-      "Div"));
+      "Div");
 }
 
 Var Neg(const Var& a) {
-  return Recorded(
-      Cap::kNeg, {&a},
-      MakeNode(
-          tsfm::Neg(a.value()), {a},
-          [](Node* n) { AccumulateIfNeeded(n->inputs[0], tsfm::Neg(n->grad)); },
-          "Neg"));
+  return MakeNode(
+      tsfm::Neg(a.value()), {a},
+      [](Node* n) { AccumulateIfNeeded(n->inputs[0], tsfm::Neg(n->grad)); },
+      "Neg");
 }
 
 Var Scale(const Var& a, float s) {
-  capture::Attrs attrs;
-  attrs.f = s;
-  return Recorded(
-      Cap::kScale, {&a},
-      MakeNode(
-          tsfm::Scale(a.value(), s), {a},
-          [s](Node* n) {
-            AccumulateIfNeeded(n->inputs[0], tsfm::Scale(n->grad, s));
-          },
-          "Scale"),
-      attrs);
+  return MakeNode(
+      tsfm::Scale(a.value(), s), {a},
+      [s](Node* n) {
+        AccumulateIfNeeded(n->inputs[0], tsfm::Scale(n->grad, s));
+      },
+      "Scale");
 }
 
 Var AddScalar(const Var& a, float s) {
-  capture::Attrs attrs;
-  attrs.f = s;
-  return Recorded(
-      Cap::kAddScalar, {&a},
-      MakeNode(
-          tsfm::AddScalar(a.value(), s), {a},
-          [](Node* n) { AccumulateIfNeeded(n->inputs[0], n->grad); },
-          "AddScalar"),
-      attrs);
+  return MakeNode(
+      tsfm::AddScalar(a.value(), s), {a},
+      [](Node* n) { AccumulateIfNeeded(n->inputs[0], n->grad); },
+      "AddScalar");
 }
 
 Var Exp(const Var& a) {
   Tensor y = tsfm::Exp(a.value());
   Tensor y_copy = y;
-  return Recorded(
-      Cap::kExp, {&a},
-      MakeNode(
-          std::move(y), {a},
-          [y_copy](Node* n) {
-            AccumulateIfNeeded(n->inputs[0], tsfm::Mul(n->grad, y_copy));
-          },
-          "Exp"));
+  return MakeNode(
+      std::move(y), {a},
+      [y_copy](Node* n) {
+        AccumulateIfNeeded(n->inputs[0], tsfm::Mul(n->grad, y_copy));
+      },
+      "Exp");
 }
 
 Var Log(const Var& a) {
-  return Recorded(
-      Cap::kLog, {&a},
-      MakeNode(
-          tsfm::Log(a.value()), {a},
-          [](Node* n) {
-            AccumulateIfNeeded(n->inputs[0],
-                               tsfm::Div(n->grad, n->inputs[0]->value));
-          },
-          "Log"));
+  return MakeNode(
+      tsfm::Log(a.value()), {a},
+      [](Node* n) {
+        AccumulateIfNeeded(n->inputs[0],
+                           tsfm::Div(n->grad, n->inputs[0]->value));
+      },
+      "Log");
 }
 
 Var Sqrt(const Var& a) {
   Tensor y = tsfm::Sqrt(a.value());
   Tensor y_copy = y;
-  return Recorded(
-      Cap::kSqrt, {&a},
-      MakeNode(
-          std::move(y), {a},
-          [y_copy](Node* n) {
-            // d sqrt(x)/dx = 1 / (2 sqrt(x))
-            Tensor g = tsfm::Div(tsfm::Scale(n->grad, 0.5f),
-                                 tsfm::AddScalar(y_copy, 1e-12f));
-            AccumulateIfNeeded(n->inputs[0], g);
-          },
-          "Sqrt"));
+  return MakeNode(
+      std::move(y), {a},
+      [y_copy](Node* n) {
+        // d sqrt(x)/dx = 1 / (2 sqrt(x))
+        Tensor g = tsfm::Div(tsfm::Scale(n->grad, 0.5f),
+                             tsfm::AddScalar(y_copy, 1e-12f));
+        AccumulateIfNeeded(n->inputs[0], g);
+      },
+      "Sqrt");
 }
 
 Var Square(const Var& a) {
-  return Recorded(
-      Cap::kSquare, {&a},
-      MakeNode(
-          tsfm::Square(a.value()), {a},
-          [](Node* n) {
-            AccumulateIfNeeded(
-                n->inputs[0],
-                tsfm::Mul(tsfm::Scale(n->grad, 2.0f), n->inputs[0]->value));
-          },
-          "Square"));
+  return MakeNode(
+      tsfm::Square(a.value()), {a},
+      [](Node* n) {
+        AccumulateIfNeeded(
+            n->inputs[0],
+            tsfm::Mul(tsfm::Scale(n->grad, 2.0f), n->inputs[0]->value));
+      },
+      "Square");
 }
 
 Var Tanh(const Var& a) {
   Tensor y = tsfm::Tanh(a.value());
   Tensor y_copy = y;
-  return Recorded(
-      Cap::kTanh, {&a},
-      MakeNode(
-          std::move(y), {a},
-          [y_copy](Node* n) {
-            Tensor one_minus_y2 =
-                tsfm::Sub(Tensor::Ones(y_copy.shape()), tsfm::Square(y_copy));
-            AccumulateIfNeeded(n->inputs[0], tsfm::Mul(n->grad, one_minus_y2));
-          },
-          "Tanh"));
+  return MakeNode(
+      std::move(y), {a},
+      [y_copy](Node* n) {
+        Tensor one_minus_y2 =
+            tsfm::Sub(Tensor::Ones(y_copy.shape()), tsfm::Square(y_copy));
+        AccumulateIfNeeded(n->inputs[0], tsfm::Mul(n->grad, one_minus_y2));
+      },
+      "Tanh");
 }
 
 Var Sigmoid(const Var& a) {
   Tensor y = tsfm::Sigmoid(a.value());
   Tensor y_copy = y;
-  return Recorded(
-      Cap::kSigmoid, {&a},
-      MakeNode(
-          std::move(y), {a},
-          [y_copy](Node* n) {
-            Tensor d = tsfm::Mul(
-                y_copy, tsfm::Sub(Tensor::Ones(y_copy.shape()), y_copy));
-            AccumulateIfNeeded(n->inputs[0], tsfm::Mul(n->grad, d));
-          },
-          "Sigmoid"));
+  return MakeNode(
+      std::move(y), {a},
+      [y_copy](Node* n) {
+        Tensor d = tsfm::Mul(
+            y_copy, tsfm::Sub(Tensor::Ones(y_copy.shape()), y_copy));
+        AccumulateIfNeeded(n->inputs[0], tsfm::Mul(n->grad, d));
+      },
+      "Sigmoid");
 }
 
 Var Relu(const Var& a) {
-  return Recorded(Cap::kRelu, {&a}, MakeNode(
+  return MakeNode(
       tsfm::Relu(a.value()), {a},
       [](Node* n) {
         const Tensor x = n->inputs[0]->value.Contiguous();
@@ -276,11 +236,11 @@ Var Relu(const Var& a) {
                              });
         AccumulateIfNeeded(n->inputs[0], g);
       },
-      "Relu"));
+      "Relu");
 }
 
 Var Gelu(const Var& a) {
-  return Recorded(Cap::kGelu, {&a}, MakeNode(
+  return MakeNode(
       tsfm::Gelu(a.value()), {a},
       [](Node* n) {
         constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
@@ -295,7 +255,7 @@ Var Gelu(const Var& a) {
               for (int64_t i = lo; i < hi; ++i) {
                 const float xi = px[i];
                 const float u = kC * (xi + kA * xi * xi * xi);
-                const float t = std::tanh(u);
+                const float t = simd::TanhS(u);
                 const float du = kC * (1.0f + 3.0f * kA * xi * xi);
                 const float d =
                     0.5f * (1.0f + t) + 0.5f * xi * (1.0f - t * t) * du;
@@ -304,12 +264,12 @@ Var Gelu(const Var& a) {
             });
         AccumulateIfNeeded(n->inputs[0], g);
       },
-      "Gelu"));
+      "Gelu");
 }
 
 Var MatMul(const Var& a, const Var& b) {
   Tensor out = tsfm::MatMul(a.value(), b.value());
-  return Recorded(Cap::kMatMul, {&a, &b}, MakeNode(
+  return MakeNode(
       std::move(out), {a, b},
       [](Node* n) {
         const Tensor& av = n->inputs[0]->value;
@@ -323,18 +283,16 @@ Var MatMul(const Var& a, const Var& b) {
           n->inputs[1]->AccumulateGrad(ReduceToShape(gb, bv.shape()));
         }
       },
-      "MatMul"));
+      "MatMul");
 }
 
 Var TransposeLast2(const Var& a) {
-  return Recorded(
-      Cap::kTransposeLast2, {&a},
-      MakeNode(
-          tsfm::TransposeLast2(a.value()), {a},
-          [](Node* n) {
-            AccumulateIfNeeded(n->inputs[0], tsfm::TransposeLast2(n->grad));
-          },
-          "TransposeLast2"));
+  return MakeNode(
+      tsfm::TransposeLast2(a.value()), {a},
+      [](Node* n) {
+        AccumulateIfNeeded(n->inputs[0], tsfm::TransposeLast2(n->grad));
+      },
+      "TransposeLast2");
 }
 
 Var Permute(const Var& a, const std::vector<int64_t>& perm) {
@@ -342,52 +300,34 @@ Var Permute(const Var& a, const std::vector<int64_t>& perm) {
   for (size_t i = 0; i < perm.size(); ++i) {
     inverse[static_cast<size_t>(perm[i])] = static_cast<int64_t>(i);
   }
-  capture::Attrs attrs;
-  attrs.ints = perm.data();
-  attrs.num_ints = perm.size();
-  return Recorded(
-      Cap::kPermute, {&a},
-      MakeNode(
-          tsfm::Permute(a.value(), perm), {a},
-          [inverse](Node* n) {
-            AccumulateIfNeeded(n->inputs[0], tsfm::Permute(n->grad, inverse));
-          },
-          "Permute"),
-      attrs);
+  return MakeNode(
+      tsfm::Permute(a.value(), perm), {a},
+      [inverse](Node* n) {
+        AccumulateIfNeeded(n->inputs[0], tsfm::Permute(n->grad, inverse));
+      },
+      "Permute");
 }
 
 Var Reshape(const Var& a, Shape new_shape) {
   Shape orig = a.shape();
-  Var r = MakeNode(
+  return MakeNode(
       a.value().Reshape(std::move(new_shape)), {a},
       [orig](Node* n) {
         AccumulateIfNeeded(n->inputs[0], n->grad.Reshape(orig));
       },
       "Reshape");
-  capture::Attrs attrs;
-  // Reshape of a contiguous value is a view; of a strided view it copies.
-  // The planner needs to know which, so record it from the actual result.
-  attrs.alias = r.value().SharesStorageWith(a.value());
-  return Recorded(Cap::kReshape, {&a}, std::move(r), attrs);
 }
 
 Var SliceOp(const Var& a, int64_t axis, int64_t start, int64_t end) {
   axis = NormalizeAxis(axis, a.ndim());
   Shape orig = a.shape();
-  const int64_t slice_attrs[3] = {axis, start, end};
-  capture::Attrs attrs;
-  attrs.ints = slice_attrs;
-  attrs.num_ints = 3;
-  return Recorded(
-      Cap::kSlice, {&a},
-      MakeNode(
-          tsfm::Slice(a.value(), axis, start, end), {a},
-          [orig, axis, start](Node* n) {
-            AccumulateIfNeeded(n->inputs[0],
-                               ScatterSlice(n->grad, orig, axis, start));
-          },
-          "Slice"),
-      attrs);
+  return MakeNode(
+      tsfm::Slice(a.value(), axis, start, end), {a},
+      [orig, axis, start](Node* n) {
+        AccumulateIfNeeded(n->inputs[0],
+                           ScatterSlice(n->grad, orig, axis, start));
+      },
+      "Slice");
 }
 
 Var ConcatOp(const std::vector<Var>& parts, int64_t axis) {
@@ -400,7 +340,7 @@ Var ConcatOp(const std::vector<Var>& parts, int64_t axis) {
     values.push_back(p.value());
     lens.push_back(p.dim(axis));
   }
-  Var r = MakeNode(
+  return MakeNode(
       tsfm::Concat(values, axis), parts,
       [axis, lens](Node* n) {
         int64_t offset = 0;
@@ -413,16 +353,6 @@ Var ConcatOp(const std::vector<Var>& parts, int64_t axis) {
         }
       },
       "Concat");
-  if (capture::Sink* sink = capture::ActiveSink()) {
-    std::vector<const Var*> input_ptrs;
-    input_ptrs.reserve(parts.size());
-    for (const Var& p : parts) input_ptrs.push_back(&p);
-    capture::Attrs attrs;
-    attrs.ints = &axis;
-    attrs.num_ints = 1;
-    sink->Record(Cap::kConcat, input_ptrs.data(), input_ptrs.size(), r, attrs);
-  }
-  return r;
 }
 
 Var SumAll(const Var& a) {
@@ -445,25 +375,18 @@ Var MeanAll(const Var& a) {
 Var SumAxis(const Var& a, int64_t axis, bool keepdim) {
   axis = NormalizeAxis(axis, a.ndim());
   Shape orig = a.shape();
-  const int64_t sum_attrs[2] = {axis, keepdim ? 1 : 0};
-  capture::Attrs attrs;
-  attrs.ints = sum_attrs;
-  attrs.num_ints = 2;
-  return Recorded(
-      Cap::kSumAxis, {&a},
-      MakeNode(
-          tsfm::Sum(a.value(), axis, keepdim), {a},
-          [orig, axis, keepdim](Node* n) {
-            Tensor g = n->grad;
-            if (!keepdim) {
-              Shape kd = orig;
-              kd[static_cast<size_t>(axis)] = 1;
-              g = g.Reshape(kd);
-            }
-            AccumulateIfNeeded(n->inputs[0], BroadcastTo(g, orig));
-          },
-          "SumAxis"),
-      attrs);
+  return MakeNode(
+      tsfm::Sum(a.value(), axis, keepdim), {a},
+      [orig, axis, keepdim](Node* n) {
+        Tensor g = n->grad;
+        if (!keepdim) {
+          Shape kd = orig;
+          kd[static_cast<size_t>(axis)] = 1;
+          g = g.Reshape(kd);
+        }
+        AccumulateIfNeeded(n->inputs[0], BroadcastTo(g, orig));
+      },
+      "SumAxis");
 }
 
 Var MeanAxis(const Var& a, int64_t axis, bool keepdim) {
@@ -475,18 +398,16 @@ Var MeanAxis(const Var& a, int64_t axis, bool keepdim) {
 Var Softmax(const Var& a) {
   Tensor y = tsfm::Softmax(a.value());
   Tensor y_copy = y;
-  return Recorded(
-      Cap::kSoftmax, {&a},
-      MakeNode(
-          std::move(y), {a},
-          [y_copy](Node* n) {
-            // dx = y * (g - sum(g * y, last, keepdim))
-            Tensor gy = tsfm::Mul(n->grad, y_copy);
-            Tensor s = tsfm::Sum(gy, -1, /*keepdim=*/true);
-            Tensor dx = tsfm::Mul(y_copy, tsfm::Sub(n->grad, s));
-            AccumulateIfNeeded(n->inputs[0], dx);
-          },
-          "Softmax"));
+  return MakeNode(
+      std::move(y), {a},
+      [y_copy](Node* n) {
+        // dx = y * (g - sum(g * y, last, keepdim))
+        Tensor gy = tsfm::Mul(n->grad, y_copy);
+        Tensor s = tsfm::Sum(gy, -1, /*keepdim=*/true);
+        Tensor dx = tsfm::Mul(y_copy, tsfm::Sub(n->grad, s));
+        AccumulateIfNeeded(n->inputs[0], dx);
+      },
+      "Softmax");
 }
 
 Var LogSoftmax(const Var& a) {

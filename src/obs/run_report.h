@@ -57,15 +57,8 @@ struct RunReport {
   double mem_pool_hits = 0;
   double mem_heap_allocs = 0;
 
-  // execution: how the encoder forwards ran (graph mode vs eager, plus the
-  // graph subsystem's counters at report time).
-  bool graph_enabled = false;
-  std::string embed_mode = "eager";  // "graph" | "eager" | "cache"
-  double graph_captures = 0;
-  double graph_executions = 0;
-  double graph_eager_fallbacks = 0;
-  double graph_fused_ops = 0;
-  double graph_peak_bytes = 0;
+  // execution: how the no-grad encoder forwards ran.
+  std::string embed_mode = "eager";  // "eager" | "cache" | "int8"
 
   // result: finetune::FineTuneResult of the run.
   double train_accuracy = 0;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "graph/executor.h"
 #include "io/embed_cache.h"
 #include "io/hash.h"
 #include "obs/budget.h"
@@ -156,9 +155,7 @@ Result<Tensor> EmbedStage::Apply(const Tensor& x,
                              ctx.cache_salt, ctx.cache_stats, &mode);
   } else {
     // Per-request path: never hash the model per call.
-    mode = simd::QuantModeEnabled()
-               ? "int8"
-               : (graph::GraphModeEnabled() ? "graph" : "eager");
+    mode = simd::QuantModeEnabled() ? "int8" : "eager";
     emb = EmbedDataset(*model_, x, ctx.batch_size, ctx.seed);
   }
   if (ctx.embed_mode != nullptr) *ctx.embed_mode = mode;
@@ -302,14 +299,15 @@ std::string EmbedCacheKey(const models::FoundationModel& model,
   // different train stats on the same raw tensor can never hit a stale
   // entry.
   io::HashBuilder key;
-  key.AddString("tsfm.embed.v4");
+  key.AddString("tsfm.embed.v5");
   key.AddString(salt);
-  // Numeric mode is part of the key: SIMD transcendentals and the int8
-  // Linear path produce results that differ (within the accuracy epsilon)
-  // from the scalar fp32 kernels, so their embeddings must never share a
-  // cache entry with fp32 runs. Graph/eager stay unkeyed — see below.
+  // Numeric mode is part of the key: the int8 Linear path produces results
+  // that differ (within the accuracy epsilon) from fp32, so their embeddings
+  // must never share an entry. So is the kernel backend: the softmax row
+  // denominator is reduced in a different order by the scalar and AVX2
+  // backends (simd/simd_math.h), so two machines must not share entries.
   key.AddString(simd::QuantModeEnabled() ? "quant-int8" : "fp32");
-  key.AddString(simd::SimdEnabled() ? "simd" : "scalar");
+  key.AddString(simd::BackendName());
   key.AddU64(static_cast<uint64_t>(batch_size));
   if (stats != nullptr && stats->mean.numel() > 0) {
     key.AddString("stats");
@@ -330,15 +328,7 @@ Tensor EmbedDatasetCached(const models::FoundationModel& model,
                           const Tensor& x, int64_t batch_size, uint64_t seed,
                           const std::string& salt,
                           const data::ChannelStats* stats, std::string* mode) {
-  // The cache key is deliberately independent of graph-vs-eager: those runs
-  // are bit-identical, so they share entries (asserted by the CI smoke test
-  // that warms the cache eager and hits it with --graph). Quant/SIMD modes
-  // ARE keyed (see EmbedCacheKey).
-  const char* encoder_mode = simd::QuantModeEnabled()
-                                 ? "int8"
-                                 : (graph::GraphModeEnabled() ? "graph"
-                                                              : "eager");
-  if (mode != nullptr) *mode = encoder_mode;
+  if (mode != nullptr) *mode = simd::QuantModeEnabled() ? "int8" : "eager";
   if (!io::EmbedCacheEnabled()) {
     return EmbedDataset(model, x, batch_size, seed);
   }

@@ -7,18 +7,12 @@
 namespace tsfm::simd {
 namespace {
 
-bool EnvTruthy(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && env[0] == '1';
-}
-
 bool EnvQuant(const char* name) {
   const char* env = std::getenv(name);
   if (env == nullptr) return false;
   return std::strcmp(env, "int8") == 0 || std::strcmp(env, "1") == 0;
 }
 
-std::atomic<bool> g_simd_mode{EnvTruthy("TSFM_SIMD")};
 std::atomic<bool> g_quant_mode{EnvQuant("TSFM_QUANT")};
 
 bool DetectAvx2() {
@@ -31,12 +25,6 @@ bool DetectAvx2() {
 }
 
 }  // namespace
-
-bool SimdEnabled() { return g_simd_mode.load(std::memory_order_relaxed); }
-
-void SetSimdMode(bool enabled) {
-  g_simd_mode.store(enabled, std::memory_order_relaxed);
-}
 
 bool QuantModeEnabled() {
   return g_quant_mode.load(std::memory_order_relaxed);

@@ -1,27 +1,24 @@
 #ifndef TSFM_SIMD_DISPATCH_H_
 #define TSFM_SIMD_DISPATCH_H_
 
-// Mode flags and CPU dispatch for the vectorized math / quantized inference
-// paths. Mirrors the graph-mode gate (graph/executor.cc): each mode is a
-// process-wide atomic initialized from an environment variable and togglable
-// at runtime, with a scoped RAII override for tests and benchmarks.
+// The numeric mode switch and CPU dispatch for the vectorized math /
+// quantized inference paths. There are two numeric modes:
 //
-//   TSFM_SIMD=1     / SetSimdMode(true)  -> vectorized exp/tanh/erf/GELU and
-//                                           fused softmax row kernels.
+//   fp32 (default)                       -> every op in float32; exp/tanh/
+//                                           GELU/sigmoid/softmax through the
+//                                           simd_math.h kernels.
 //   TSFM_QUANT=int8 / SetQuantMode(true) -> int8 dynamic-quantized matmul in
 //                                           frozen (no-grad) Linear layers.
 //
+// The mode is a process-wide atomic initialized from the environment and
+// togglable at runtime, with a scoped RAII override for tests and
+// benchmarks. The AVX2 kernels are picked at runtime when the CPU has them;
+// that is a speed choice, not a mode.
+//
 // Determinism contract: each mode is bit-identical across thread counts.
-// SIMD mode may diverge from scalar mode by bounded ulps (the CI
-// accuracy-epsilon gate bounds the end-to-end effect); quantized mode is
-// exact integer arithmetic, so its results are additionally independent of
-// the scalar/AVX2 kernel choice.
+// The int8 matmul is exact integer arithmetic, so its results are also
+// independent of the scalar/AVX2 kernel choice.
 namespace tsfm::simd {
-
-/// True when SIMD transcendental kernels are enabled (TSFM_SIMD=1 or
-/// SetSimdMode(true)).
-bool SimdEnabled();
-void SetSimdMode(bool enabled);
 
 /// True when the int8 quantized frozen-encoder path is enabled
 /// (TSFM_QUANT=int8|1 or SetQuantMode(true)).
@@ -36,19 +33,6 @@ bool CpuHasAvx2();
 /// Human-readable backend name for logs/reports: "avx2", "neon", or
 /// "scalar".
 const char* BackendName();
-
-class ScopedSimdMode {
- public:
-  explicit ScopedSimdMode(bool enabled) : prev_(SimdEnabled()) {
-    SetSimdMode(enabled);
-  }
-  ~ScopedSimdMode() { SetSimdMode(prev_); }
-  ScopedSimdMode(const ScopedSimdMode&) = delete;
-  ScopedSimdMode& operator=(const ScopedSimdMode&) = delete;
-
- private:
-  bool prev_;
-};
 
 class ScopedQuantMode {
  public:

@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
-#include "simd/dispatch.h"
 #include "simd/simd_math.h"
 #include "tensor/op_math.h"
 
@@ -15,8 +14,6 @@ namespace tsfm {
 
 namespace {
 
-// Scalar math shared with the graph interpreter's fused loops; see
-// tensor/op_math.h for why these must be the single definition.
 using ops::detail::BroadcastViewStrides;
 using ops::detail::RowMajorStrides;
 
@@ -201,7 +198,7 @@ Tensor UnaryOp(const Tensor& t, F f) {
   return out;
 }
 
-// SIMD-mode unary: vectorized row kernel on the contiguous fast path, the
+// Transcendental unary: vectorized row kernel on the contiguous fast path, the
 // kernel's scalar reference on the strided gather path. Each row kernel is
 // bit-identical to its scalar reference applied element-wise, at any split
 // point (simd/simd_math.h), so contiguity, chunk boundaries, and thread
@@ -319,8 +316,7 @@ Tensor Neg(const Tensor& t) {
   return UnaryOp(t, [](float x) { return -x; });
 }
 Tensor Exp(const Tensor& t) {
-  if (simd::SimdEnabled()) return UnaryRowOp(t, simd::ExpRow, simd::ExpS);
-  return UnaryOp(t, [](float x) { return std::exp(x); });
+  return UnaryRowOp(t, simd::ExpRow, simd::ExpS);
 }
 Tensor Log(const Tensor& t) {
   return UnaryOp(t, [](float x) { return std::log(x); });
@@ -329,21 +325,16 @@ Tensor Sqrt(const Tensor& t) {
   return UnaryOp(t, [](float x) { return std::sqrt(x); });
 }
 Tensor Tanh(const Tensor& t) {
-  if (simd::SimdEnabled()) return UnaryRowOp(t, simd::TanhRow, simd::TanhS);
-  return UnaryOp(t, [](float x) { return std::tanh(x); });
+  return UnaryRowOp(t, simd::TanhRow, simd::TanhS);
 }
 Tensor Sigmoid(const Tensor& t) {
-  if (simd::SimdEnabled()) {
-    return UnaryRowOp(t, simd::SigmoidRow, simd::SigmoidS);
-  }
-  return UnaryOp(t, [](float x) { return ops::detail::SigmoidScalar(x); });
+  return UnaryRowOp(t, simd::SigmoidRow, simd::SigmoidS);
 }
 Tensor Relu(const Tensor& t) {
-  return UnaryOp(t, [](float x) { return ops::detail::ReluScalar(x); });
+  return UnaryOp(t, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
 Tensor Gelu(const Tensor& t) {
-  if (simd::SimdEnabled()) return UnaryRowOp(t, simd::GeluRow, simd::GeluS);
-  return UnaryOp(t, [](float x) { return ops::detail::GeluScalar(x); });
+  return UnaryRowOp(t, simd::GeluRow, simd::GeluS);
 }
 Tensor Abs(const Tensor& t) {
   return UnaryOp(t, [](float x) { return std::fabs(x); });
@@ -424,60 +415,10 @@ void MatMulRowRange(const float* pa, const float* pb, float* po, int64_t r0,
   }
 }
 
-// C[r0:r1, :] = A[r0:r1, :] x B^T for one (m, k) x (n, k) problem: `pb`
-// holds the *untransposed* B, read strided along its rows. The loop nest is
-// a line-for-line mirror of MatMulRowRange — same tile shape, same nesting,
-// same accumulator layout — with only the B addressing changed. That is a
-// determinism requirement, not a style choice: under -ffp-contract=fast the
-// compiler fuses mul+add per accumulation step, and only a structurally
-// identical nest is guaranteed to contract identically, which is what makes
-// folding a TransposeLast2 into the matmul bit-exact against the eager
-// MatMul-on-packed-B^T path (guarded by the graph pass property test).
-void MatMulTransBRowRange(const float* pa, const float* pb, float* po,
-                          int64_t r0, int64_t r1, int64_t k, int64_t n) {
-  for (int64_t i0 = r0; i0 < r1; i0 += kMr) {
-    const int64_t mr = std::min<int64_t>(kMr, r1 - i0);
-    for (int64_t j0 = 0; j0 < n; j0 += kNr) {
-      const int64_t nr = std::min<int64_t>(kNr, n - j0);
-      float acc[kMr * kNr] = {0.0f};
-      if (mr == kMr && nr == kNr) {
-        // Full tile: fixed trip counts, fully unrolled and vectorized.
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const float* bcol = pb + kk;  // element jj of this k-slice: bcol[(j0+jj)*k]
-          for (int ii = 0; ii < kMr; ++ii) {
-            const float av = pa[(i0 + ii) * k + kk];
-            for (int jj = 0; jj < kNr; ++jj) {
-              acc[ii * kNr + jj] += av * bcol[(j0 + jj) * k];
-            }
-          }
-        }
-      } else {
-        // Edge tile (m % kMr, n % kNr remainders).
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const float* bcol = pb + kk;
-          for (int64_t ii = 0; ii < mr; ++ii) {
-            const float av = pa[(i0 + ii) * k + kk];
-            for (int64_t jj = 0; jj < nr; ++jj) {
-              acc[ii * kNr + jj] += av * bcol[(j0 + jj) * k];
-            }
-          }
-        }
-      }
-      for (int64_t ii = 0; ii < mr; ++ii) {
-        float* crow = po + (i0 + ii) * n + j0;
-        for (int64_t jj = 0; jj < nr; ++jj) crow[jj] = acc[ii * kNr + jj];
-      }
-    }
-  }
-}
-
-// Shared batched-GEMM driver for MatMulInto / MatMulTransBInto. `bn` and
-// `bk` are B's row count and row length as laid out in memory; `kernel`
-// computes one (m, k) x B problem for a row range of C.
-template <typename Kernel>
+// Batched GEMM of (..., m, k) x (..., k, n) into the preallocated `out`.
 void BatchedMatMul(const Tensor& a, const Tensor& b, Tensor* out, int64_t m,
-                   int64_t k, int64_t n, Kernel kernel) {
-  // The register-blocked kernels need dense row-major operands; strided
+                   int64_t k, int64_t n) {
+  // The register-blocked kernel needs dense row-major operands; strided
   // views (e.g. TransposeLast2 results) are packed once into pooled scratch
   // that is released as soon as the product is computed.
   const Tensor a_dense = a.Contiguous();
@@ -537,25 +478,12 @@ void BatchedMatMul(const Tensor& a, const Tensor& b, Tensor* out, int64_t m,
           float* po = po0 + batch_idx * m * n;
           const int64_t r0 = block * kRowsPerBlock;
           const int64_t r1 = std::min(m, r0 + kRowsPerBlock);
-          kernel(pa, pb, po, r0, r1, k, n);
+          MatMulRowRange(pa, pb, po, r0, r1, k, n);
         }
       });
 }
 
 }  // namespace
-
-void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  TSFM_TRACE_SPAN("tensor.matmul");
-  TSFM_CHECK_GE(a.ndim(), 2);
-  TSFM_CHECK_GE(b.ndim(), 2);
-  const int64_t m = a.dim(-2);
-  const int64_t k = a.dim(-1);
-  const int64_t k2 = b.dim(-2);
-  const int64_t n = b.dim(-1);
-  TSFM_CHECK_EQ(k, k2) << "matmul inner dims " << ShapeToString(a.shape())
-                       << " x " << ShapeToString(b.shape());
-  BatchedMatMul(a, b, out, m, k, n, MatMulRowRange);
-}
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   TSFM_CHECK_GE(a.ndim(), 2);
@@ -566,34 +494,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   out_shape.push_back(a.dim(-2));
   out_shape.push_back(b.dim(-1));
   Tensor out = Tensor::Empty(out_shape);
-  MatMulInto(a, b, &out);
-  return out;
-}
-
-void MatMulTransBInto(const Tensor& a, const Tensor& b, Tensor* out) {
   TSFM_TRACE_SPAN("tensor.matmul");
-  TSFM_CHECK_GE(a.ndim(), 2);
-  TSFM_CHECK_GE(b.ndim(), 2);
   const int64_t m = a.dim(-2);
   const int64_t k = a.dim(-1);
-  const int64_t n = b.dim(-2);
-  const int64_t k2 = b.dim(-1);
-  TSFM_CHECK_EQ(k, k2) << "matmul_transb inner dims "
-                       << ShapeToString(a.shape()) << " x "
-                       << ShapeToString(b.shape()) << "^T";
-  BatchedMatMul(a, b, out, m, k, n, MatMulTransBRowRange);
-}
-
-Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
-  TSFM_CHECK_GE(a.ndim(), 2);
-  TSFM_CHECK_GE(b.ndim(), 2);
-  Shape a_batch(a.shape().begin(), a.shape().end() - 2);
-  Shape b_batch(b.shape().begin(), b.shape().end() - 2);
-  Shape out_shape = BroadcastShapes(a_batch, b_batch);
-  out_shape.push_back(a.dim(-2));
-  out_shape.push_back(b.dim(-2));
-  Tensor out = Tensor::Empty(out_shape);
-  MatMulTransBInto(a, b, &out);
+  const int64_t k2 = b.dim(-2);
+  const int64_t n = b.dim(-1);
+  TSFM_CHECK_EQ(k, k2) << "matmul inner dims " << ShapeToString(a.shape())
+                       << " x " << ShapeToString(b.shape());
+  BatchedMatMul(a, b, &out, m, k, n);
   return out;
 }
 
@@ -632,16 +540,9 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t axis) {
   Shape out_shape = parts[0].shape();
   out_shape[static_cast<size_t>(axis)] = total;
   Tensor out = Tensor::Empty(out_shape);
-  ConcatInto(parts, axis, &out);
-  return out;
-}
-
-void ConcatInto(const std::vector<Tensor>& parts, int64_t axis, Tensor* out) {
-  TSFM_CHECK(!parts.empty());
-  axis = NormalizeAxis(axis, parts[0].ndim());
   int64_t outer, alen, inner;
-  SplitAroundAxis(out->shape(), axis, &outer, &alen, &inner);
-  float* po = out->mutable_data();
+  SplitAroundAxis(out_shape, axis, &outer, &alen, &inner);
+  float* po = out.mutable_data();
   int64_t offset = 0;
   for (const Tensor& p : parts) {
     const Tensor pd = p.Contiguous();
@@ -653,7 +554,7 @@ void ConcatInto(const std::vector<Tensor>& parts, int64_t axis, Tensor* out) {
     }
     offset += plen;
   }
-  TSFM_CHECK_EQ(offset, alen);
+  return out;
 }
 
 Tensor TakeRows(const Tensor& t, const std::vector<int64_t>& rows) {
@@ -715,17 +616,17 @@ float MinAll(const Tensor& t) {
   return *std::min_element(p, p + td.numel());
 }
 
-void SumInto(const Tensor& t, int64_t axis, bool keepdim, Tensor* out) {
+Tensor Sum(const Tensor& t, int64_t axis, bool keepdim) {
+  axis = NormalizeAxis(axis, t.ndim());
+  Tensor out = Tensor::Empty(ReducedShape(t.shape(), axis, keepdim));
   TSFM_TRACE_SPAN("tensor.sum");
   Metrics().reduce_calls->Add(1);
-  axis = NormalizeAxis(axis, t.ndim());
   const Tensor td = t.Contiguous();
   int64_t outer, len, inner;
   SplitAroundAxis(td.shape(), axis, &outer, &len, &inner);
-  TSFM_CHECK(out->shape() == ReducedShape(td.shape(), axis, keepdim));
   const float* pi = td.data();
-  float* po = out->mutable_data();
-  std::fill(po, po + out->numel(), 0.0f);
+  float* po = out.mutable_data();
+  std::fill(po, po + out.numel(), 0.0f);
   // Parallel over `outer` only: each output element keeps its serial
   // ascending-l accumulation order, so results are bit-identical to the
   // single-threaded loop.
@@ -744,7 +645,7 @@ void SumInto(const Tensor& t, int64_t axis, bool keepdim, Tensor* out) {
         po[o] = acc;
       }
     });
-    return;
+    return out;
   }
   runtime::ParallelFor(0, outer, grain, [&](int64_t lo, int64_t hi) {
     for (int64_t o = lo; o < hi; ++o) {
@@ -755,12 +656,6 @@ void SumInto(const Tensor& t, int64_t axis, bool keepdim, Tensor* out) {
       }
     }
   });
-}
-
-Tensor Sum(const Tensor& t, int64_t axis, bool keepdim) {
-  Tensor out = Tensor::Empty(
-      ReducedShape(t.shape(), NormalizeAxis(axis, t.ndim()), keepdim));
-  SumInto(t, axis, keepdim, &out);
   return out;
 }
 
@@ -818,36 +713,22 @@ std::vector<int64_t> ArgMaxLast(const Tensor& t) {
   return out;
 }
 
-void SoftmaxInto(const Tensor& t, Tensor* out) {
+Tensor Softmax(const Tensor& t) {
+  Tensor out = Tensor::Empty(t.shape());
   TSFM_TRACE_SPAN("tensor.softmax");
   TSFM_CHECK_GE(t.ndim(), 1);
   const Tensor td = t.Contiguous();
   const int64_t len = td.dim(-1);
   const int64_t outer = td.numel() / len;
-  TSFM_CHECK(out->shape() == td.shape());
   const float* pi = td.data();
-  float* po = out->mutable_data();
+  float* po = out.mutable_data();
   const int64_t grain =
       std::max<int64_t>(1, kElementwiseGrain / std::max<int64_t>(1, len));
-  // Row choice is mode-global, never per-row: every row of a tensor (and of
-  // a whole run) goes through the same kernel. Both kernels share the same
-  // non-finite contract (op_math.h); the SIMD kernel's denominator reduction
-  // order differs, bounded by the CI accuracy-epsilon gate.
-  const bool use_simd = simd::SimdEnabled();
   runtime::ParallelFor(0, outer, grain, [&](int64_t lo, int64_t hi) {
     for (int64_t o = lo; o < hi; ++o) {
-      if (use_simd) {
-        simd::SoftmaxRow(pi + o * len, po + o * len, len);
-      } else {
-        ops::detail::SoftmaxRow(pi + o * len, po + o * len, len);
-      }
+      simd::SoftmaxRow(pi + o * len, po + o * len, len);
     }
   });
-}
-
-Tensor Softmax(const Tensor& t) {
-  Tensor out = Tensor::Empty(t.shape());
-  SoftmaxInto(t, &out);
   return out;
 }
 
@@ -862,14 +743,9 @@ Tensor LogSoftmax(const Tensor& t) {
   float* po = out.mutable_data();
   const int64_t grain =
       std::max<int64_t>(1, kElementwiseGrain / std::max<int64_t>(1, len));
-  const bool use_simd = simd::SimdEnabled();
   runtime::ParallelFor(0, outer, grain, [&](int64_t lo, int64_t hi) {
     for (int64_t o = lo; o < hi; ++o) {
-      if (use_simd) {
-        simd::LogSoftmaxRow(pi + o * len, po + o * len, len);
-      } else {
-        ops::detail::LogSoftmaxRow(pi + o * len, po + o * len, len);
-      }
+      simd::LogSoftmaxRow(pi + o * len, po + o * len, len);
     }
   });
   return out;

@@ -121,19 +121,17 @@ TEST_F(DeterminismTest, MatMulPropagatesNanThroughZero) {
   }
 }
 
-// SIMD mode keeps the same contract: the row kernels are bit-identical to
-// their scalar reference at any chunk split, so ParallelFor boundaries
-// cannot change output bits.
-TEST_F(DeterminismTest, SimdModeElementwiseAndSoftmax) {
-  simd::ScopedSimdMode simd_on(true);
+// The transcendental row kernels are bit-identical to their scalar tails at
+// any chunk split, so ParallelFor boundaries cannot change output bits.
+TEST_F(DeterminismTest, TranscendentalsAndSoftmax) {
   Rng rng(40);
   Tensor a = Tensor::RandN({150, 90}, &rng, 3.0f);
-  ExpectBitIdentical([&] { return Exp(a); }, "SIMD Exp");
-  ExpectBitIdentical([&] { return Tanh(a); }, "SIMD Tanh");
-  ExpectBitIdentical([&] { return Gelu(a); }, "SIMD Gelu");
-  ExpectBitIdentical([&] { return Sigmoid(a); }, "SIMD Sigmoid");
-  ExpectBitIdentical([&] { return Softmax(a); }, "SIMD Softmax");
-  ExpectBitIdentical([&] { return LogSoftmax(a); }, "SIMD LogSoftmax");
+  ExpectBitIdentical([&] { return Exp(a); }, "Exp");
+  ExpectBitIdentical([&] { return Tanh(a); }, "Tanh");
+  ExpectBitIdentical([&] { return Gelu(a); }, "Gelu");
+  ExpectBitIdentical([&] { return Sigmoid(a); }, "Sigmoid");
+  ExpectBitIdentical([&] { return Softmax(a); }, "Softmax");
+  ExpectBitIdentical([&] { return LogSoftmax(a); }, "LogSoftmax");
 }
 
 // Quant mode is even stronger: int8 x int8 -> int32 accumulation is exact

@@ -12,10 +12,12 @@
 #include "data/uea_like.h"
 #include "finetune/classifier.h"
 #include "io/embed_cache.h"
+#include "io/hash.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/registry.h"
 #include "pipeline/session.h"
 #include "pipeline/stages.h"
+#include "simd/dispatch.h"
 #include "tensor/ops.h"
 
 namespace tsfm {
@@ -255,6 +257,47 @@ TEST(EmbedCacheKeyTest, StatsChangeTheKey) {
   // The other key ingredients still matter too.
   EXPECT_NE(with_a, pipeline::EmbedCacheKey(*model, x, 8, "salt", &stats_a));
   EXPECT_NE(with_a, pipeline::EmbedCacheKey(*model, x, 16, "other", &stats_a));
+}
+
+// Rebuilds the key's documented layout with the given version tag, numeric
+// mode and backend name.
+std::string KeyLayout(const models::FoundationModel& model, const Tensor& x,
+                      const std::string& version, const std::string& mode,
+                      const std::string& backend) {
+  io::HashBuilder key;
+  key.AddString(version);
+  key.AddString("salt");
+  key.AddString(mode);
+  key.AddString(backend);
+  key.AddU64(16);
+  key.AddString("no_stats");
+  for (const auto& [name, p] : model.NamedParameters()) {
+    key.AddString(name);
+    key.AddTensor(p.value());
+  }
+  key.AddTensor(x);
+  return key.HexDigest();
+}
+
+TEST(EmbedCacheKeyTest, KeyFoldsVersionNumericModeAndBackend) {
+  auto model = TinyMoment();
+  const Tensor x = Problem(9).train.x;
+  const std::string backend = simd::BackendName();
+  const std::string fp32 =
+      pipeline::EmbedCacheKey(*model, x, 16, "salt", nullptr);
+  EXPECT_EQ(fp32, KeyLayout(*model, x, "tsfm.embed.v5", "fp32", backend));
+  // Entries of another kernel backend (softmax reduces in another order)
+  // and of the v4 layout, which folded a scalar/SIMD switch, never hit.
+  const std::string other = backend == "scalar" ? "avx2" : "scalar";
+  EXPECT_NE(fp32, KeyLayout(*model, x, "tsfm.embed.v5", "fp32", other));
+  EXPECT_NE(fp32, KeyLayout(*model, x, "tsfm.embed.v4", "fp32", "simd"));
+
+  simd::ScopedQuantMode quant_on(true);
+  const std::string int8 =
+      pipeline::EmbedCacheKey(*model, x, 16, "salt", nullptr);
+  EXPECT_NE(int8, fp32);
+  EXPECT_EQ(int8,
+            KeyLayout(*model, x, "tsfm.embed.v5", "quant-int8", backend));
 }
 
 // ---------------------------------------------------------------------------

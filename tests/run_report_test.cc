@@ -90,6 +90,16 @@ TEST(RunReport, JsonCarriesEverySection) {
   EXPECT_EQ(brackets, 0);
 }
 
+TEST(RunReport, ExecutionSectionIsEmbedModeOnly) {
+  obs::RunReport report = SampleReport();
+  report.embed_mode = "int8";
+  const std::string json = RenderRunReportJson(report);
+  EXPECT_NE(json.find("\"execution\":{\"embed_mode\":\"int8\"}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"graph_"), std::string::npos) << json;
+}
+
 TEST(RunReport, NoEstimateRendersNull) {
   obs::RunReport report = SampleReport();
   report.has_estimate = false;

@@ -1,8 +1,8 @@
 // InferenceSession thread-safety: many threads hammering one immutable
 // fitted session must each see predictions bit-identical to the serial
 // reference. Built with -DTSFM_SANITIZE=thread in CI, this is the TSan
-// witness for the serving path (encoder forward, graph executor, buffer
-// pool, adapter transform, head forward).
+// witness for the serving path (encoder forward, lazily quantized int8
+// weights, buffer pool, adapter transform, head forward).
 
 #include <cstring>
 #include <filesystem>
@@ -13,9 +13,9 @@
 
 #include "data/uea_like.h"
 #include "finetune/classifier.h"
-#include "graph/executor.h"
 #include "pipeline/registry.h"
 #include "pipeline/session.h"
+#include "simd/dispatch.h"
 #include "tensor/ops.h"
 
 namespace tsfm {
@@ -153,34 +153,46 @@ TEST(SessionTest, ConcurrentPredictIsBitIdenticalToSerial) {
   }
 }
 
-// Same hammer with the graph executor engaged: the compiled-graph cache is
-// shared mutable state inside the (const) model, so this is the interesting
-// TSan surface.
-TEST(SessionTest, ConcurrentPredictUnderGraphModeIsBitIdentical) {
+// Same hammer in int8 mode: each Linear quantizes its weight lazily on
+// first use, under a mutex inside the (const) model, so this is the
+// interesting TSan surface. The logits must match the serial int8 run bit
+// for bit.
+TEST(SessionTest, ConcurrentPredictUnderQuantModeIsBitIdentical) {
   auto pair = Problem(24);
+  // Two identical fp32 fits: the serial reference runs on the first, so the
+  // second's weights are quantized on first use by the hammering threads.
   auto clf = FittedClassifier(pair);
   ASSERT_TRUE(clf.ok()) << clf.status().ToString();
-  auto session = clf->session();
+  auto twin = FittedClassifier(pair);
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+  auto session = twin->session();
 
-  const bool saved_mode = graph::GraphModeEnabled();
-  graph::SetGraphMode(false);
-  const auto eager_reference = session->PredictBatch(pair.test.x);
-  ASSERT_TRUE(eager_reference.ok());
-
-  graph::SetGraphMode(true);
+  simd::ScopedQuantMode quant_on(true);
+  const auto serial_logits = clf->session()->Logits(pair.test.x);
+  ASSERT_TRUE(serial_logits.ok());
+  const Tensor serial = serial_logits->Contiguous();
   std::vector<int> mismatches(kThreads, 0);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < kRoundsPerThread; ++round) {
-        auto preds = session->PredictBatch(pair.test.x);
-        if (!preds.ok() || *preds != *eager_reference) ++mismatches[t];
+        auto logits = session->Logits(pair.test.x);
+        if (!logits.ok()) {
+          ++mismatches[t];
+          continue;
+        }
+        const Tensor contig = logits->Contiguous();
+        if (contig.numel() != serial.numel() ||
+            std::memcmp(contig.data(), serial.data(),
+                        static_cast<size_t>(serial.numel()) * sizeof(float)) !=
+                0) {
+          ++mismatches[t];
+        }
       }
     });
   }
   for (auto& th : threads) th.join();
-  graph::SetGraphMode(saved_mode);
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }

@@ -3,7 +3,7 @@
 // The two contracts under test:
 //   1. Row kernels are bit-identical to their scalar reference applied
 //      element-wise (any length, any split) — this is what carries the
-//      repo's thread-count determinism into SIMD mode.
+//      repo's thread-count determinism through the vectorized kernels.
 //   2. The quantized path is exact integer arithmetic after quantization,
 //      so it is bit-identical across thread counts and across kernel
 //      choices, and a quantized checkpoint round-trips to the very same
@@ -22,7 +22,6 @@
 
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "graph/executor.h"
 #include "models/foundation_model.h"
 #include "models/moment.h"
 #include "nn/layers.h"
@@ -32,8 +31,8 @@
 #include "simd/dispatch.h"
 #include "simd/quant.h"
 #include "simd/simd_math.h"
-#include "tensor/op_math.h"
 #include "tensor/ops.h"
+#include "tests/ref_math.h"
 
 namespace tsfm {
 namespace {
@@ -115,19 +114,18 @@ TEST(SimdMathTest, ScalarReferenceSpecialValues) {
   EXPECT_EQ(simd::GeluS(-kInf), -0.0f);
   EXPECT_TRUE(std::signbit(simd::GeluS(-kInf)));
   EXPECT_TRUE(std::isnan(simd::GeluS(kNan)));
-  // Saturation region: identical to the ops::detail::GeluScalar contract.
+  // Saturation region: identical to the ref::GeluScalar contract.
   EXPECT_EQ(simd::GeluS(3e38f), 3e38f);
   EXPECT_EQ(simd::GeluS(-3e38f), -0.0f);
 }
 
 TEST(SimdMathTest, GeluEdgeAgreementAcrossImplementations) {
-  // The graph executor's fused eltwise loop calls ops::detail::GeluScalar in
-  // scalar mode and simd::GeluS in SIMD mode. The two use different tanh
-  // approximations, so mid-range values differ by ulps — but every
-  // edge/saturation result must agree EXACTLY, because both fire their
-  // guards before any polynomial runs.
+  // The libm reference and simd::GeluS use different tanh approximations,
+  // so mid-range values differ by ulps — but every edge/saturation result
+  // must agree EXACTLY, because both fire their guards before any
+  // polynomial runs.
   for (float x : EdgeInputs()) {
-    const float a = ops::detail::GeluScalar(x);
+    const float a = ref::GeluScalar(x);
     const float b = simd::GeluS(x);
     if (std::isnan(a) || std::isnan(b)) {
       EXPECT_TRUE(std::isnan(a) && std::isnan(b)) << "x=" << x;
@@ -190,7 +188,7 @@ TEST(SimdMathTest, RowKernelsBitIdenticalToScalarReference) {
   }
 }
 
-TEST(SimdMathTest, SoftmaxRowFiniteMatchesScalarKernelClosely) {
+TEST(SimdMathTest, SoftmaxRowFiniteMatchesLibmReferenceClosely) {
   Rng rng(11);
   for (int64_t n : {1, 2, 7, 8, 9, 31, 64, 100}) {
     std::vector<float> in(static_cast<size_t>(n));
@@ -198,7 +196,7 @@ TEST(SimdMathTest, SoftmaxRowFiniteMatchesScalarKernelClosely) {
     std::vector<float> simd_out(static_cast<size_t>(n));
     std::vector<float> ref_out(static_cast<size_t>(n));
     simd::SoftmaxRow(in.data(), simd_out.data(), n);
-    ops::detail::SoftmaxRow(in.data(), ref_out.data(), n);
+    ref::SoftmaxRow(in.data(), ref_out.data(), n);
     float sum = 0.0f;
     for (int64_t i = 0; i < n; ++i) {
       EXPECT_NEAR(simd_out[static_cast<size_t>(i)],
@@ -211,14 +209,14 @@ TEST(SimdMathTest, SoftmaxRowFiniteMatchesScalarKernelClosely) {
     std::vector<float> lsm(static_cast<size_t>(n));
     std::vector<float> lsm_ref(static_cast<size_t>(n));
     simd::LogSoftmaxRow(in.data(), lsm.data(), n);
-    ops::detail::LogSoftmaxRow(in.data(), lsm_ref.data(), n);
+    ref::LogSoftmaxRow(in.data(), lsm_ref.data(), n);
     for (int64_t i = 0; i < n; ++i) {
       EXPECT_NEAR(lsm[static_cast<size_t>(i)],
                   lsm_ref[static_cast<size_t>(i)], 1e-4f)
           << "logsoftmax n=" << n << " i=" << i;
     }
-    // In-place log-softmax (out aliases in) is part of the scalar kernel's
-    // contract and the SIMD kernel must honor it too.
+    // In-place log-softmax (out aliases in) is part of the kernel's
+    // contract.
     simd::LogSoftmaxRow(in.data(), in.data(), n);
     ASSERT_EQ(std::memcmp(in.data(), lsm.data(),
                           sizeof(float) * static_cast<size_t>(n)),
@@ -228,8 +226,8 @@ TEST(SimdMathTest, SoftmaxRowFiniteMatchesScalarKernelClosely) {
 }
 
 TEST(SimdMathTest, SoftmaxRowNonFiniteContract) {
-  // Same contract as ops::detail::SoftmaxRow (tensor_ops_test covers the
-  // scalar kernel): NaN poisons the row, all--inf is uniform, +inf entries
+  // Same contract as ref::SoftmaxRow (tensor_ops_test covers it through
+  // tsfm::Softmax): NaN poisons the row, all--inf is uniform, +inf entries
   // split the mass.
   {
     const float in[4] = {1.0f, kNan, 2.0f, 3.0f};
@@ -438,8 +436,8 @@ TEST(QuantCheckpointTest, SaveLoadPredictBitIdentical) {
   ag::NoGradGuard guard;
 
   // Two independent loads into fresh models serve identical bits, at any
-  // thread count and regardless of graph mode: the stored int8 images are
-  // adopted verbatim and the arithmetic is exact.
+  // thread count: the stored int8 images are adopted verbatim and the
+  // arithmetic is exact.
   Rng ra(1), rb(2);
   models::MomentModel ma(models::MomentTestConfig(), &ra);
   models::MomentModel mb(models::MomentTestConfig(), &rb);
@@ -458,14 +456,6 @@ TEST(QuantCheckpointTest, SaveLoadPredictBitIdentical) {
         << threads << " threads (model a)";
     EXPECT_EQ(std::memcmp(got_b.data(), ref.data(), bytes), 0)
         << threads << " threads (model b)";
-  }
-  // Graph mode must not change quant-mode bits (the executor is bypassed).
-  {
-    graph::ScopedGraphMode graph_on(true);
-    Tensor got = ma.EncodeChannels(ag::Constant(x), EvalCtx()).value();
-    EXPECT_EQ(std::memcmp(got.data(), ref.data(),
-                          sizeof(float) * static_cast<size_t>(ref.numel())),
-              0);
   }
   runtime::SetNumThreads(saved);
   std::remove(path.c_str());
@@ -522,36 +512,32 @@ TEST(QuantCheckpointTest, QuantizedLoadStaysCloseToFp32Model) {
 }
 
 // ---------------------------------------------------------------------------
-// Mode plumbing
+// Tensor ops and mode plumbing
 
-TEST(SimdModeTest, TensorOpsMatchScalarModeClosely) {
+TEST(SimdOpsTest, TensorOpsMatchLibmReferenceClosely) {
   Rng rng(41);
   Tensor x = Tensor::RandN({33, 17}, &rng);
-  Tensor exp_ref = Exp(x);
-  Tensor gelu_ref = Gelu(x);
-  Tensor sm_ref = Softmax(x);
-  simd::ScopedSimdMode simd_on(true);
-  Tensor exp_simd = Exp(x);
-  Tensor gelu_simd = Gelu(x);
-  Tensor sm_simd = Softmax(x);
+  Tensor exp_got = Exp(x);
+  Tensor gelu_got = Gelu(x);
+  Tensor sm_got = Softmax(x);
+  std::vector<float> sm_ref(static_cast<size_t>(x.numel()));
+  for (int64_t r = 0; r < 33; ++r) {
+    ref::SoftmaxRow(x.data() + r * 17, sm_ref.data() + r * 17, 17);
+  }
   for (int64_t i = 0; i < x.numel(); ++i) {
-    EXPECT_NEAR(exp_simd.data()[i], exp_ref.data()[i],
-                2e-5f * std::fabs(exp_ref.data()[i]) + 1e-6f);
-    EXPECT_NEAR(gelu_simd.data()[i], gelu_ref.data()[i], 1e-5f);
-    EXPECT_NEAR(sm_simd.data()[i], sm_ref.data()[i], 1e-5f);
+    const float exp_ref = std::exp(x.data()[i]);
+    EXPECT_NEAR(exp_got.data()[i], exp_ref, 2e-5f * std::fabs(exp_ref) + 1e-6f);
+    EXPECT_NEAR(gelu_got.data()[i], ref::GeluScalar(x.data()[i]), 1e-5f);
+    EXPECT_NEAR(sm_got.data()[i], sm_ref[static_cast<size_t>(i)], 1e-5f);
   }
 }
 
-TEST(SimdModeTest, ScopedModesRestore) {
-  const bool simd_before = simd::SimdEnabled();
+TEST(SimdOpsTest, ScopedQuantModeRestores) {
   const bool quant_before = simd::QuantModeEnabled();
   {
-    simd::ScopedSimdMode a(true);
-    simd::ScopedQuantMode b(true);
-    EXPECT_TRUE(simd::SimdEnabled());
-    EXPECT_TRUE(simd::QuantModeEnabled());
+    simd::ScopedQuantMode q(!quant_before);
+    EXPECT_EQ(simd::QuantModeEnabled(), !quant_before);
   }
-  EXPECT_EQ(simd::SimdEnabled(), simd_before);
   EXPECT_EQ(simd::QuantModeEnabled(), quant_before);
 }
 

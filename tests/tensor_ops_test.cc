@@ -4,10 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "simd/dispatch.h"
 #include "simd/simd_math.h"
-#include "tensor/op_math.h"
 #include "tensor/ops.h"
+#include "tests/ref_math.h"
 
 namespace tsfm {
 namespace {
@@ -273,15 +272,14 @@ TEST(SoftmaxTest, LogSoftmaxMatchesLogOfSoftmax) {
 }
 
 // ---------------------------------------------------------------------------
-// Non-finite edge contract for softmax/log-softmax (scalar kernels, then the
-// same contract through the SIMD dispatch). Before the fix, a +inf or
+// Non-finite edge contract for softmax/log-softmax. Before the fix, a +inf or
 // all--inf row produced inf-inf = NaN garbage; now: NaN anywhere poisons the
 // row, all--inf rows are uniform, +inf entries split the probability mass.
 
 constexpr float kInfF = std::numeric_limits<float>::infinity();
 constexpr float kNanF = std::numeric_limits<float>::quiet_NaN();
 
-void CheckSoftmaxEdgeContract(const char* mode) {
+TEST(SoftmaxTest, NonFiniteEdgeContract) {
   // Row 0: ordinary finite logits. Row 1: +FLT_MAX dominates but stays
   // finite. Row 2: one NaN. Row 3: all -inf. Row 4: two +inf entries.
   const float mx = std::numeric_limits<float>::max();
@@ -293,52 +291,44 @@ void CheckSoftmaxEdgeContract(const char* mode) {
   Tensor s = Softmax(t);
   float sum0 = 0.0f;
   for (int64_t j = 0; j < 4; ++j) sum0 += s.at({0, j});
-  EXPECT_NEAR(sum0, 1.0f, 1e-5f) << mode;
+  EXPECT_NEAR(sum0, 1.0f, 1e-5f);
 
-  EXPECT_NEAR(s.at({1, 0}), 1.0f, 1e-6f) << mode;
-  EXPECT_NEAR(s.at({1, 2}), 0.0f, 1e-6f) << mode;
+  EXPECT_NEAR(s.at({1, 0}), 1.0f, 1e-6f);
+  EXPECT_NEAR(s.at({1, 2}), 0.0f, 1e-6f);
   for (int64_t j = 0; j < 4; ++j) {
-    EXPECT_TRUE(std::isfinite(s.at({1, j}))) << mode << " j=" << j;
-    EXPECT_TRUE(std::isnan(s.at({2, j}))) << mode << " j=" << j;
-    EXPECT_EQ(s.at({3, j}), 0.25f) << mode << " j=" << j;
+    EXPECT_TRUE(std::isfinite(s.at({1, j}))) << "j=" << j;
+    EXPECT_TRUE(std::isnan(s.at({2, j}))) << "j=" << j;
+    EXPECT_EQ(s.at({3, j}), 0.25f) << "j=" << j;
   }
-  EXPECT_EQ(s.at({4, 0}), 0.0f) << mode;
-  EXPECT_EQ(s.at({4, 1}), 0.5f) << mode;
-  EXPECT_EQ(s.at({4, 2}), 0.5f) << mode;
-  EXPECT_EQ(s.at({4, 3}), 0.0f) << mode;
+  EXPECT_EQ(s.at({4, 0}), 0.0f);
+  EXPECT_EQ(s.at({4, 1}), 0.5f);
+  EXPECT_EQ(s.at({4, 2}), 0.5f);
+  EXPECT_EQ(s.at({4, 3}), 0.0f);
 
   Tensor ls = LogSoftmax(t);
-  EXPECT_NEAR(ls.at({1, 0}), 0.0f, 1e-6f) << mode;
+  EXPECT_NEAR(ls.at({1, 0}), 0.0f, 1e-6f);
   for (int64_t j = 0; j < 4; ++j) {
-    EXPECT_TRUE(std::isnan(ls.at({2, j}))) << mode << " j=" << j;
-    EXPECT_NEAR(ls.at({3, j}), -std::log(4.0f), 1e-6f) << mode << " j=" << j;
+    EXPECT_TRUE(std::isnan(ls.at({2, j}))) << "j=" << j;
+    EXPECT_NEAR(ls.at({3, j}), -std::log(4.0f), 1e-6f) << "j=" << j;
   }
-  EXPECT_EQ(ls.at({4, 0}), -kInfF) << mode;
-  EXPECT_NEAR(ls.at({4, 1}), -std::log(2.0f), 1e-6f) << mode;
-  EXPECT_EQ(ls.at({4, 3}), -kInfF) << mode;
+  EXPECT_EQ(ls.at({4, 0}), -kInfF);
+  EXPECT_NEAR(ls.at({4, 1}), -std::log(2.0f), 1e-6f);
+  EXPECT_EQ(ls.at({4, 3}), -kInfF);
 }
 
-TEST(SoftmaxTest, NonFiniteEdgeContractScalar) {
-  simd::ScopedSimdMode simd_off(false);
-  CheckSoftmaxEdgeContract("scalar");
-}
-
-TEST(SoftmaxTest, NonFiniteEdgeContractSimd) {
-  simd::ScopedSimdMode simd_on(true);
-  CheckSoftmaxEdgeContract("simd");
-}
-
-TEST(SoftmaxTest, FiniteRowsUnchangedByEdgeHandling) {
-  // The non-finite pre-pass must not perturb a single bit of ordinary rows:
-  // for finite inputs the new kernel runs the exact pre-fix arithmetic.
-  simd::ScopedSimdMode simd_off(false);
+TEST(SoftmaxTest, FiniteRowsMatchClassicKernel) {
+  // The non-finite pre-pass must leave ordinary rows to the classic
+  // max-subtracted arithmetic: each row is exactly the row kernel's output,
+  // and within a few ulps of the libm formulation.
   Rng rng(29);
   Tensor t = Tensor::RandN({8, 33}, &rng, 5.0f);
   Tensor s = Softmax(t);
   for (int64_t i = 0; i < 8; ++i) {
     std::vector<float> want(33);
+    std::vector<float> kernel(33);
     const float* row = t.data() + i * 33;
-    // Reference: classic max-subtracted kernel, same accumulation order.
+    simd::SoftmaxRow(row, kernel.data(), 33);
+    // Reference: classic max-subtracted kernel in libm arithmetic.
     float m = row[0];
     for (int64_t j = 1; j < 33; ++j) m = std::max(m, row[j]);
     float denom = 0.0f;
@@ -348,14 +338,15 @@ TEST(SoftmaxTest, FiniteRowsUnchangedByEdgeHandling) {
     }
     const float inv = 1.0f / denom;
     for (int64_t j = 0; j < 33; ++j) {
-      EXPECT_EQ(s.at({i, j}), want[static_cast<size_t>(j)] * inv)
-          << i << "," << j;
+      EXPECT_EQ(s.at({i, j}), kernel[static_cast<size_t>(j)]) << i << "," << j;
+      const float w = want[static_cast<size_t>(j)] * inv;
+      EXPECT_NEAR(s.at({i, j}), w, 4e-6f * w + 1e-9f) << i << "," << j;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// GELU numerical-edge contract. Before the fix, GeluScalar(-inf) evaluated
+// GELU numerical-edge contract. Before the fix, GELU(-inf) evaluated
 // inf * 0 = NaN; the saturation guard returns the asymptote instead and
 // cannot change any finite result (tanh already saturates to exactly +/-1
 // well inside |x| = 8).
@@ -381,8 +372,8 @@ TEST(UnaryTest, GeluFiniteAndTailMonotoneEverywhere) {
   float prev = 0.0f;
   for (int e = -4; e <= 38; ++e) {
     const float x = std::pow(10.0f, static_cast<float>(e));
-    const float gp = ops::detail::GeluScalar(x);
-    const float gn = ops::detail::GeluScalar(-x);
+    const float gp = simd::GeluS(x);
+    const float gn = simd::GeluS(-x);
     EXPECT_TRUE(std::isfinite(gp)) << x;
     EXPECT_TRUE(std::isfinite(gn)) << -x;
     EXPECT_GE(gn, -0.2f) << -x;  // global minimum of GELU is ~ -0.17
@@ -392,9 +383,9 @@ TEST(UnaryTest, GeluFiniteAndTailMonotoneEverywhere) {
     }
   }
   // Dense sweep across the saturation boundary: non-decreasing, no step.
-  prev = ops::detail::GeluScalar(7.9f);
+  prev = simd::GeluS(7.9f);
   for (float x = 7.9f; x <= 8.1f; x += 0.001f) {
-    const float g = ops::detail::GeluScalar(x);
+    const float g = simd::GeluS(x);
     EXPECT_GE(g, prev - 1e-5f) << x;
     EXPECT_NEAR(g, x, 1e-4f) << x;
     prev = g;
@@ -405,30 +396,25 @@ TEST(UnaryTest, GeluGuardIsContinuousAtSaturation) {
   // Just inside the guard the tanh form must already sit on the asymptote
   // to float precision, otherwise the guard would introduce a step.
   for (float x : {7.5f, 7.9f, 7.999f}) {
-    EXPECT_NEAR(ops::detail::GeluScalar(x), x, 1e-4f) << x;
-    EXPECT_NEAR(ops::detail::GeluScalar(-x), 0.0f, 1e-4f) << -x;
-    EXPECT_LE(ops::detail::GeluScalar(-x), 0.0f) << -x;
+    EXPECT_NEAR(simd::GeluS(x), x, 1e-4f) << x;
+    EXPECT_NEAR(simd::GeluS(-x), 0.0f, 1e-4f) << -x;
+    EXPECT_LE(simd::GeluS(-x), 0.0f) << -x;
   }
-  EXPECT_EQ(ops::detail::GeluScalar(8.0f), 8.0f);
-  EXPECT_EQ(ops::detail::GeluScalar(-8.0f), -0.0f);
-  EXPECT_TRUE(std::signbit(ops::detail::GeluScalar(-8.0f)));
+  EXPECT_EQ(simd::GeluS(8.0f), 8.0f);
+  EXPECT_EQ(simd::GeluS(-8.0f), -0.0f);
+  EXPECT_TRUE(std::signbit(simd::GeluS(-8.0f)));
 }
 
-TEST(UnaryTest, GeluEdgeMatrixAgreesAcrossEagerAndSimd) {
-  // The eager kernel (GeluScalar), the graph executor's fused stage (same
-  // scalar function), and the SIMD kernels must agree exactly on every
-  // edge input: all guards fire before any polynomial can differ.
+TEST(UnaryTest, GeluEdgeMatrixAgreesWithScalarAndLibm) {
+  // The tensor op (row kernel), its scalar tail and the libm reference must
+  // agree exactly on every edge input: all guards fire before any
+  // polynomial can differ.
   const float mx = std::numeric_limits<float>::max();
   Tensor t(Shape{10}, {kInfF, -kInfF, kNanF, mx, -mx, 8.0f, -8.0f, 20.0f,
                        -20.0f, -1e30f});
-  Tensor eager = Gelu(t);
-  Tensor vec;
-  {
-    simd::ScopedSimdMode simd_on(true);
-    vec = Gelu(t);
-  }
+  Tensor vec = Gelu(t);
   for (int64_t i = 0; i < t.numel(); ++i) {
-    const float a = eager[i];
+    const float a = ref::GeluScalar(t.data()[i]);
     const float b = vec[i];
     const float c = simd::GeluS(t.data()[i]);
     if (std::isnan(a)) {

@@ -3,18 +3,18 @@
 
 Used by the CI `bench-regression` job: the baseline is the committed
 `bench_results/BENCH_baseline.json` from the PR's base ref, the candidate is
-the JSON the job just produced. Two kinds of gates:
+the JSON the job just produced. The gates:
 
   * real_time on watched benchmarks must not regress more than
     --max-regression (fractional, default 0.15);
   * the pooled-allocator benchmark (BM_FineTuneInnerLoopAlloc/1) must keep
     heap_allocs_per_iter at 0 — the BufferPool's whole point;
-  * candidate-internal paired gates: BM_EncoderForwardGraph must run at
-    least 10% faster than BM_EncoderForwardEager and not exceed its
-    peak_bytes counter. Unlike the baseline-relative gates, a missing pair
-    member FAILS — the graph-mode speedup is an acceptance criterion, not
-    an optional benchmark. Paired gates only fire when at least one member
-    is present in the candidate, so micro-kernel-only runs are unaffected.
+  * candidate-internal paired gates: BM_EncoderForwardInt8 must run in at
+    most 0.67x the time of BM_EncoderForwardFp32 (see PAIRED_GATES). Unlike
+    the baseline-relative gates, a missing pair member FAILS — the int8
+    speedup is an acceptance criterion, not an optional benchmark. Paired
+    gates only fire when at least one member is present in the candidate,
+    so micro-kernel-only runs are unaffected.
 
 Benchmarks present in only one file are reported but never fail the gate, so
 adding or renaming a benchmark does not require touching the baseline in the
@@ -41,7 +41,7 @@ WATCHED_PREFIXES = (
     # p99 latency and mean ns/request of the dynamically-batched server.
     "BM_ServeP99",
     "BM_ServeThroughput",
-    # SIMD row kernels and the int8 quantized path (ISSUE 10): the fused
+    # Transcendental row kernels and the int8 quantized path: the fused
     # softmax/gelu rows, the quantized GEMM, and the encoder-forward pair
     # that carries the quantization speedup gate below.
     "BM_SoftmaxRow/",
@@ -61,9 +61,6 @@ COUNTER_LIMITS = {
 # abs_slack_ns, and fast.counter <= slow.counter (counter None = time-only
 # gate). Checked whenever either member appears in the candidate run; a
 # half-present or half-instrumented pair fails.
-# The ViT pair's time ratio is looser: its forward is matmul-dominated, so
-# the graph win is smaller and noisier — the gate only insists graph mode is
-# never a slowdown there.
 # The serve obs pair gates the observability tax: an unsaturated loadgen
 # wave against a server with tracing + access log + SLO evaluation on must
 # keep p99 within 5% of an identically-shaped plain wave (BM_ServeBaseP99,
@@ -76,10 +73,7 @@ COUNTER_LIMITS = {
 # the same forward in fp32 (ratio <= 0.67). Both benches run the identical
 # MomentSmallConfig forward, so the ratio is shape- and machine-paired.
 PAIRED_GATES = (
-    ("BM_EncoderForwardGraph", "BM_EncoderForwardEager", 0.90, "peak_bytes",
-     0.0),
     ("BM_EncoderForwardInt8", "BM_EncoderForwardFp32", 0.67, None, 0.0),
-    ("BM_VitForwardGraph", "BM_VitForwardEager", 1.00, "peak_bytes", 0.0),
     ("BM_ServeObsOnP99", "BM_ServeBaseP99", 1.05, None, 5_000_000.0),
 )
 

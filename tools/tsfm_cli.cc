@@ -72,22 +72,14 @@
 //                        frozen-encoder embed passes are served from disk
 //                        (same as TSFM_CACHE_DIR; watch cache.hit/cache.miss
 //                        in --metrics output)
-//   --graph              run no-grad encoder forwards through the captured
-//                        graph IR (fused kernels + planned activation
-//                        memory); bit-identical to eager, usually faster
-//                        (same as TSFM_GRAPH=1; watch graph.* in --metrics)
-//   --simd               dispatch exp/tanh/erf/gelu/softmax through the
-//                        vectorized kernels in src/simd/ (AVX2/NEON with a
-//                        lane-exact scalar fallback); results stay
-//                        bit-identical across thread counts and graph/eager,
-//                        and differ from scalar fp32 only within the CI
-//                        accuracy epsilon (same as TSFM_SIMD=1)
 //   --quantize int8      run frozen-encoder (no-grad) Linear layers through
 //                        the dynamically quantized int8 path: per-channel
 //                        weight scales computed once at load, int32
 //                        accumulation, dequantize at layer boundaries
 //                        (same as TSFM_QUANT=int8; deterministic across
 //                        thread counts by exact integer accumulation)
+//
+// Any other --flag is an error: tsfm prints the usage text and exits 1.
 
 #include <atomic>
 #include <chrono>
@@ -109,7 +101,6 @@
 #include "io/embed_cache.h"
 #include "data/uea_like.h"
 #include "finetune/classifier.h"
-#include "graph/executor.h"
 #include "nn/serialize.h"
 #include "obs/budget.h"
 #include "obs/metrics.h"
@@ -131,36 +122,83 @@ namespace {
 
 using ArgMap = std::map<std::string, std::string>;
 
-// Parses --key value pairs from argv[start..]. Returns nullopt (after naming
-// the flag on stderr) when a flag that takes a value has none: it is last,
-// or the next token is another flag.
+// Every flag that Main and the Cmd* functions read. A switch takes no value
+// and reads as "1"; a flag with a `fallback` takes an optional value.
+struct FlagSpec {
+  const char* name;
+  bool is_switch;
+  const char* fallback;  // nullptr: the value is required
+};
+
+constexpr FlagSpec kFlags[] = {
+    {"access-log", false, "stderr"},
+    {"access-log-sample", false, nullptr},
+    {"adapter", false, nullptr},
+    {"batch-window-us", false, nullptr},
+    {"cache-dir", false, nullptr},
+    {"check-fitted", true, nullptr},
+    {"checkpoint", false, nullptr},
+    {"classes", false, nullptr},
+    {"dataset", false, nullptr},
+    {"dprime", false, nullptr},
+    {"follow", true, nullptr},
+    {"full", true, nullptr},
+    {"host", false, nullptr},
+    {"in", false, nullptr},
+    {"input", false, nullptr},
+    {"interval-ms", false, nullptr},
+    {"max-batch", false, nullptr},
+    {"max-pending", false, nullptr},
+    {"mem-budget", false, nullptr},
+    {"metrics", false, "stderr"},
+    {"model", false, nullptr},
+    {"name", false, nullptr},
+    {"out", false, nullptr},
+    {"port", false, nullptr},
+    {"prefix", false, nullptr},
+    {"profile", false, nullptr},
+    {"quantize", false, nullptr},
+    {"regime", false, nullptr},
+    {"report", false, "reports"},
+    {"save", false, nullptr},
+    {"seed", false, nullptr},
+    {"slo-error-rate", false, nullptr},
+    {"slo-p99-ms", false, nullptr},
+    {"test", false, nullptr},
+    {"threads", false, nullptr},
+    {"time-budget", false, nullptr},
+    {"trace", false, nullptr},
+    {"train", false, nullptr},
+};
+
+const FlagSpec* FindFlag(const char* name) {
+  for (const FlagSpec& f : kFlags) {
+    if (std::strcmp(f.name, name) == 0) return &f;
+  }
+  return nullptr;
+}
+
+// Parses --key value pairs from argv[start..]; tokens that are not flags
+// (command verbs) are skipped. Returns nullopt, after naming the flag on
+// stderr, for a flag missing from kFlags or a required value that is absent:
+// the flag is last, or the next token is another flag.
 std::optional<ArgMap> ParseArgs(int argc, char** argv, int start) {
   ArgMap args;
   for (int i = start; i < argc; ++i) {
     if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    const FlagSpec* flag = FindFlag(argv[i] + 2);
+    if (flag == nullptr) {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      return std::nullopt;
+    }
     const bool next_is_value =
         i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
-    // Valueless flags may appear anywhere without shifting later pairs;
-    // --metrics and --report take an optional value.
-    if (std::strcmp(argv[i], "--full") == 0) {
-      args["full"] = "1";
-    } else if (std::strcmp(argv[i], "--graph") == 0) {
-      args["graph"] = "1";
-    } else if (std::strcmp(argv[i], "--simd") == 0) {
-      args["simd"] = "1";
-    } else if (std::strcmp(argv[i], "--check-fitted") == 0) {
-      args["check-fitted"] = "1";
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      args["metrics"] = next_is_value ? argv[++i] : "stderr";
-    } else if (std::strcmp(argv[i], "--report") == 0) {
-      args["report"] = next_is_value ? argv[++i] : "reports";
-    } else if (std::strcmp(argv[i], "--access-log") == 0) {
-      args["access-log"] = next_is_value ? argv[++i] : "stderr";
-    } else if (std::strcmp(argv[i], "--follow") == 0) {
-      args["follow"] = "1";
+    if (flag->is_switch) {
+      args[flag->name] = "1";
     } else if (next_is_value) {
-      const std::string key = argv[i] + 2;
-      args[key] = argv[++i];
+      args[flag->name] = argv[++i];
+    } else if (flag->fallback != nullptr) {
+      args[flag->name] = flag->fallback;
     } else {
       std::fprintf(stderr, "flag %s needs a value\n", argv[i]);
       return std::nullopt;
@@ -830,8 +868,7 @@ int Usage() {
                "       [--trace out.json] [--profile out.txt|.json|.folded]\n"
                "       [--metrics [dest]] [--report [dir]] [--threads N]\n"
                "       [--mem-budget BYTES[K|M|G]] [--time-budget SECONDS]\n"
-               "       [--cache-dir DIR] [--graph] [--simd] "
-               "[--quantize int8]\n"
+               "       [--cache-dir DIR] [--quantize int8]\n"
                "see the header of tools/tsfm_cli.cc for details\n");
   return 1;
 }
@@ -873,8 +910,6 @@ int Main(int argc, char** argv) {
     io::SetEmbedCacheDir(cache_dir);
   }
 
-  if (GetOr(args, "graph", "") == "1") graph::SetGraphMode(true);
-  if (GetOr(args, "simd", "") == "1") simd::SetSimdMode(true);
   if (const std::string q = GetOr(args, "quantize", ""); !q.empty()) {
     if (q != "int8") {
       std::fprintf(stderr, "unknown --quantize scheme '%s' (int8)\n",
