@@ -6,7 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "memory/buffer_pool.h"
 #include "models/moment.h"
 #include "models/vit.h"
 #include "simd/dispatch.h"
@@ -77,26 +76,11 @@ void BM_NoGradSavesMemoryAndTime(benchmark::State& state) {
 }
 BENCHMARK(BM_NoGradSavesMemoryAndTime);
 
-// Peak pool bytes of one `fn()` call, measured after a warmup call so
-// lazily-built state (quantized weights, pool freelists) is excluded.
-template <typename Fn>
-double MeasurePeakBytes(const Fn& fn) {
-  auto& pool = memory::BufferPool::Instance();
-  fn();  // warm caches and freelists
-  const uint64_t before = pool.Snapshot().live_bytes;
-  pool.ResetPeak();
-  fn();
-  const uint64_t peak = pool.Snapshot().peak_live_bytes;
-  return static_cast<double>(peak - before);
-}
-
 // Quantized-inference pair: the same frozen encoder forward at bench scale
 // (MomentSmallConfig, d_model 64 / d_hidden 128 — the test config's d=16
 // matmuls are too small for quantization to pay for its per-row activation
 // pass) in fp32 against int8. The paired CI gate requires
 // BM_EncoderForwardInt8 <= 0.67x BM_EncoderForwardFp32 (>= 1.5x speedup).
-// Each reports a `peak_bytes` counter: the BufferPool high-water delta of
-// one forward, measured outside the timed loop.
 constexpr int64_t kQuantBatch = 4;
 constexpr int64_t kQuantSteps = 64;
 constexpr int64_t kQuantChannels = 8;
@@ -109,12 +93,10 @@ void EncoderForwardPair(benchmark::State& state, bool int8) {
   simd::ScopedQuantMode quant(int8);
   ag::NoGradGuard guard;
   if (int8) model.PrepareQuantized();  // scales computed once, as at load
-  const auto fwd = [&] {
+  for (auto _ : state) {
     ag::Var emb = model.EncodeChannels(ag::Constant(x), ctx);
     benchmark::DoNotOptimize(emb.value().data());
-  };
-  state.counters["peak_bytes"] = MeasurePeakBytes(fwd);
-  for (auto _ : state) fwd();
+  }
 }
 
 void BM_EncoderForwardFp32(benchmark::State& state) {

@@ -92,7 +92,7 @@ void BM_QuantMatMul(benchmark::State& state) {
   const simd::QuantizedMatrix q = simd::QuantizeWeight(w.data(), n, n);
   Tensor c = Tensor::Empty({n, n});
   for (auto _ : state) {
-    simd::QuantMatMul(a.data(), n, q, c.mutable_data());
+    simd::QuantMatMul(a.data(), n, q, nullptr, c.mutable_data());
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);

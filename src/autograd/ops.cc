@@ -426,6 +426,12 @@ Var LogSoftmax(const Var& a) {
 }
 
 Var LayerNorm(const Var& x, const Var& gamma, const Var& beta, float epsilon) {
+  if (!GradEnabled() ||
+      !(x.requires_grad() || gamma.requires_grad() || beta.requires_grad())) {
+    // No tape edge: the one-pass kernel gives the same bits.
+    return Constant(tsfm::LayerNormLastAxis(x.value(), gamma.value(),
+                                            beta.value(), epsilon));
+  }
   Var mu = MeanAxis(x, -1, /*keepdim=*/true);
   Var xc = Sub(x, mu);
   Var var = MeanAxis(Square(xc), -1, /*keepdim=*/true);

@@ -43,8 +43,12 @@ Tensor Linear::QuantForward(const Tensor& x) const {
   out_shape.back() = out_features_;
   Tensor y = Tensor::Empty(out_shape);
   const auto q = QuantWeight();
-  simd::QuantMatMul(xc.data(), m, *q, y.mutable_data());
-  if (bias_.defined()) y = tsfm::Add(y, bias_.value());
+  // The bias is added in the kernel's dequantize epilogue (same rounding as
+  // a separate Add, one pass fewer).
+  const Tensor bias =
+      bias_.defined() ? bias_.value().Contiguous() : Tensor();
+  simd::QuantMatMul(xc.data(), m, *q, bias_.defined() ? bias.data() : nullptr,
+                    y.mutable_data());
   return y;
 }
 
@@ -73,7 +77,7 @@ bool Linear::AdoptQuantizedParam(
     std::shared_ptr<const simd::QuantizedMatrix> q) {
   if (local_name != "weight" || q == nullptr) return false;
   if (q->rows != in_features_ || q->cols != out_features_) return false;
-  TSFM_CHECK(!q->packed.empty()) << "AdoptQuantizedParam: matrix not packed";
+  TSFM_CHECK(q->packed) << "AdoptQuantizedParam: matrix not packed";
   std::lock_guard<std::mutex> lock(quant_mu_);
   qweight_ = std::move(q);
   qweight_src_ = weight_.value().data();
@@ -140,11 +144,21 @@ ag::Var MultiHeadSelfAttention::Forward(const ag::Var& x,
     return ag::Permute(r, {0, 2, 1, 3});
   };
 
-  ag::Var q = split_heads(wq_->Forward(x));
-  ag::Var k = split_heads(wk_->Forward(x));
-  ag::Var v = split_heads(wv_->Forward(x));
-
+  ag::Var qp = wq_->Forward(x);
+  ag::Var kp = wk_->Forward(x);
+  ag::Var vp = wv_->Forward(x);
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
+  if (!ctx.training &&
+      !(qp.requires_grad() || kp.requires_grad() || vp.requires_grad())) {
+    // Inference: no tape and no dropout, so the fused kernel (same bits,
+    // no head permute copies) replaces the composed ops below.
+    return wo_->Forward(ag::Constant(tsfm::MultiHeadAttention(
+        qp.value(), kp.value(), vp.value(), num_heads_, scale)));
+  }
+  ag::Var q = split_heads(qp);
+  ag::Var k = split_heads(kp);
+  ag::Var v = split_heads(vp);
+
   ag::Var scores =
       ag::Scale(ag::MatMul(q, ag::TransposeLast2(k)), scale);  // (B,H,S,S)
   ag::Var attn = ag::Softmax(scores);

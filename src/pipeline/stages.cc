@@ -303,11 +303,9 @@ std::string EmbedCacheKey(const models::FoundationModel& model,
   key.AddString(salt);
   // Numeric mode is part of the key: the int8 Linear path produces results
   // that differ (within the accuracy epsilon) from fp32, so their embeddings
-  // must never share an entry. So is the kernel backend: the softmax row
-  // denominator is reduced in a different order by the scalar and AVX2
-  // backends (simd/simd_math.h), so two machines must not share entries.
+  // must never share an entry. The kernel backend is not: every backend
+  // gives the same bits (simd/simd_math.h, simd/quant.h).
   key.AddString(simd::QuantModeEnabled() ? "quant-int8" : "fp32");
-  key.AddString(simd::BackendName());
   key.AddU64(static_cast<uint64_t>(batch_size));
   if (stats != nullptr && stats->mean.numel() > 0) {
     key.AddString("stats");

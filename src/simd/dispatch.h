@@ -17,7 +17,8 @@
 //
 // Determinism contract: each mode is bit-identical across thread counts.
 // The int8 matmul is exact integer arithmetic, so its results are also
-// independent of the scalar/AVX2 kernel choice.
+// independent of the kernel choice (scalar, AVX2 or AVX-512 VNNI; see
+// simd/quant.h).
 namespace tsfm::simd {
 
 /// True when the int8 quantized frozen-encoder path is enabled

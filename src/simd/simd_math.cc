@@ -258,7 +258,7 @@ inline __m256 SigmoidV(__m256 x) {
   return _mm256_div_ps(one, _mm256_add_ps(one, ExpV(NegV(x))));
 }
 
-// Fixed-order horizontal sum: ((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7)).
+// Fixed-order horizontal sum: ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
 inline float HSumV(__m256 v) {
   const __m128 lo = _mm256_castps256_ps128(v);
   const __m128 hi = _mm256_extractf128_ps(v, 1);
@@ -460,9 +460,14 @@ inline bool SoftmaxEdgeRow(const float* in, float* out, int64_t n, float mx,
   return false;
 }
 
-// exp(in - mx), returning the denominator (fixed reduction order per
-// backend). When `out` is non-null the exponentials are stored there (out
-// may alias in); when null only the sum is computed, leaving `in` intact.
+// exp(in - mx), returning the denominator. Every backend reduces in the
+// same order, so softmax rows are backend-identical like the element maps:
+// rows of 8 or more accumulate 8 lane sums over the full 8-blocks (lane l
+// sums entries l, l+8, ... in ascending order), fold them as
+// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) (HSumV), then add the tail entries
+// in ascending order; shorter rows sum in ascending order. When `out` is
+// non-null the exponentials are stored there (out may alias in); when null
+// only the sum is computed, leaving `in` intact.
 inline float ExpSubSum(const float* in, float* out, int64_t n, float mx) {
   int64_t i = 0;
   float denom = 0.0f;
@@ -478,6 +483,19 @@ inline float ExpSubSum(const float* in, float* out, int64_t n, float mx) {
     denom = HSumV(acc);
   }
 #endif
+  if (i == 0 && n >= 8) {
+    // Scalar twin of the vector body above.
+    float lane[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
+    for (; i + 8 <= n; i += 8) {
+      for (int l = 0; l < 8; ++l) {
+        const float e = ExpS(in[i + l] - mx);
+        if (out != nullptr) out[i + l] = e;
+        lane[l] += e;
+      }
+    }
+    denom = ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+            ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+  }
   for (; i < n; ++i) {
     const float e = ExpS(in[i] - mx);
     if (out != nullptr) out[i] = e;

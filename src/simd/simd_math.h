@@ -51,11 +51,10 @@ void SigmoidRow(const float* in, float* out, int64_t n);
 
 /// Fused softmax / log-softmax of one dense row; `out` may alias `in`.
 /// Non-finite contract: NaN rows poison, all--inf rows are uniform, +inf
-/// entries split the mass. The denominator reduction order is fixed per
-/// backend, so results are deterministic and thread-count independent, but
-/// the scalar-fallback backend is not bit-identical to the AVX2 backend
-/// (unlike the element maps above, which are backend-identical); the
-/// embedding cache keys on BackendName() for that reason.
+/// entries split the mass. The denominator is reduced in one fixed order
+/// (8 lane sums, a fixed fold, then the tail) on every backend, so the rows
+/// are deterministic, thread-count independent and backend-identical like
+/// the element maps above.
 void SoftmaxRow(const float* in, float* out, int64_t n);
 void LogSoftmaxRow(const float* in, float* out, int64_t n);
 

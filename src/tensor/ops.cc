@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -370,6 +371,17 @@ constexpr int kNr = 16;
 constexpr int kNr = 8;
 #endif
 constexpr int kMr = 6;
+
+// acc + a * b with a single rounding wherever the target has FMA (every
+// AVX2 and AArch64 build), so the GEMM tiles and the attention kernel
+// round identically whatever shape the vectorizer gives each loop.
+inline float MulAdd(float a, float b, float acc) {
+#if defined(__FMA__) || defined(__aarch64__)
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
 // Rows per parallel task (a multiple of kMr so parallel splits and the
 // serial path tile rows identically).
 constexpr int64_t kRowsPerBlock = 60;
@@ -391,7 +403,7 @@ void MatMulRowRange(const float* pa, const float* pb, float* po, int64_t r0,
           for (int ii = 0; ii < kMr; ++ii) {
             const float av = pa[(i0 + ii) * k + kk];
             for (int jj = 0; jj < kNr; ++jj) {
-              acc[ii * kNr + jj] += av * brow[jj];
+              acc[ii * kNr + jj] = MulAdd(av, brow[jj], acc[ii * kNr + jj]);
             }
           }
         }
@@ -402,7 +414,7 @@ void MatMulRowRange(const float* pa, const float* pb, float* po, int64_t r0,
           for (int64_t ii = 0; ii < mr; ++ii) {
             const float av = pa[(i0 + ii) * k + kk];
             for (int64_t jj = 0; jj < nr; ++jj) {
-              acc[ii * kNr + jj] += av * brow[jj];
+              acc[ii * kNr + jj] = MulAdd(av, brow[jj], acc[ii * kNr + jj]);
             }
           }
         }
@@ -483,6 +495,84 @@ void BatchedMatMul(const Tensor& a, const Tensor& b, Tensor* out, int64_t m,
       });
 }
 
+// Attention for the (batch, head) tasks [lo, hi) of MultiHeadAttention.
+// A plain function rather than a lambda body: captured sizes and the scale
+// would live behind the closure pointer, where the float stores below could
+// alias them and keep the tiles out of registers.
+void AttentionTasks(const float* pq, const float* pk, const float* pv,
+                    float* po, int64_t s, int64_t e, int64_t dh,
+                    int64_t num_heads, float scale, int64_t lo, int64_t hi) {
+  // Tiles of kRows query rows x kLanes columns with fixed-size
+  // accumulators, so the compiler keeps each tile in vector registers;
+  // k_h^T and v_h are copied into zero-padded scratch so every tile is full
+  // (padded lanes are dropped).
+  constexpr int kRows = 4;
+  constexpr int kLanes = 8;
+  const int64_t sp = (s + kLanes - 1) / kLanes * kLanes;
+  const int64_t dp = (dh + kLanes - 1) / kLanes * kLanes;
+  std::vector<float> kt(static_cast<size_t>(dh * sp), 0.0f);  // k_h^T
+  std::vector<float> vh(static_cast<size_t>(s * dp), 0.0f);
+  std::vector<float> attn(static_cast<size_t>(kRows * sp), 0.0f);
+  float* pa = attn.data();
+  for (int64_t task = lo; task < hi; ++task) {
+    const int64_t bi = task / num_heads;
+    const int64_t col = (task % num_heads) * dh;
+    const float* qh = pq + bi * s * e + col;
+    const float* kh = pk + bi * s * e + col;
+    const float* vsrc = pv + bi * s * e + col;
+    for (int64_t d = 0; d < dh; ++d) {
+      float* ktd = kt.data() + d * sp;
+      for (int64_t j = 0; j < s; ++j) ktd[j] = kh[j * e + d];
+    }
+    for (int64_t j = 0; j < s; ++j) {
+      float* vdst = vh.data() + j * dp;
+      for (int64_t d = 0; d < dh; ++d) vdst[d] = vsrc[j * e + d];
+    }
+    for (int64_t i0 = 0; i0 < s; i0 += kRows) {
+      const int nr = static_cast<int>(std::min<int64_t>(kRows, s - i0));
+      // scores[i][j] = sum_d q[i][d] k[j][d], ascending d from 0 as
+      // MatMulRowRange accumulates each element; then Scale.
+      for (int64_t j0 = 0; j0 < sp; j0 += kLanes) {
+        float tile[kRows][kLanes] = {};
+        for (int64_t d = 0; d < dh; ++d) {
+          const float* ktr = kt.data() + d * sp + j0;
+          for (int r = 0; r < kRows; ++r) {
+            const float qv = r < nr ? qh[(i0 + r) * e + d] : 0.0f;
+            for (int l = 0; l < kLanes; ++l) {
+              tile[r][l] = MulAdd(qv, ktr[l], tile[r][l]);
+            }
+          }
+        }
+        for (int r = 0; r < kRows; ++r) {
+          float* arow = pa + r * sp + j0;
+          for (int l = 0; l < kLanes; ++l) arow[l] = tile[r][l] * scale;
+        }
+      }
+      for (int r = 0; r < nr; ++r) {
+        simd::SoftmaxRow(pa + r * sp, pa + r * sp, s);
+      }
+      // out[i][:] = sum_j attn[i][j] v[j][:], ascending j from 0.
+      for (int64_t d0 = 0; d0 < dp; d0 += kLanes) {
+        float tile[kRows][kLanes] = {};
+        for (int64_t j = 0; j < s; ++j) {
+          const float* vr = vh.data() + j * dp + d0;
+          for (int r = 0; r < kRows; ++r) {
+            const float av = pa[r * sp + j];
+            for (int l = 0; l < kLanes; ++l) {
+              tile[r][l] = MulAdd(av, vr[l], tile[r][l]);
+            }
+          }
+        }
+        const int64_t w = std::min<int64_t>(kLanes, dh - d0);
+        for (int r = 0; r < nr; ++r) {
+          float* orow = po + (bi * s + i0 + r) * e + col + d0;
+          for (int64_t l = 0; l < w; ++l) orow[l] = tile[r][l];
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -502,6 +592,35 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   TSFM_CHECK_EQ(k, k2) << "matmul inner dims " << ShapeToString(a.shape())
                        << " x " << ShapeToString(b.shape());
   BatchedMatMul(a, b, &out, m, k, n);
+  return out;
+}
+
+Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                          int64_t num_heads, float scale) {
+  TSFM_CHECK_EQ(q.ndim(), 3);
+  TSFM_CHECK(k.shape() == q.shape() && v.shape() == q.shape())
+      << "attention q/k/v shapes differ";
+  const int64_t b = q.dim(0), s = q.dim(1), e = q.dim(2);
+  TSFM_CHECK_GT(num_heads, 0);
+  TSFM_CHECK_EQ(e % num_heads, 0);
+  const int64_t dh = e / num_heads;
+  const Tensor qd = q.Contiguous(), kd = k.Contiguous(), vd = v.Contiguous();
+  Tensor out = Tensor::Empty(q.shape());
+  TSFM_TRACE_SPAN("tensor.attention");
+  OpMetrics& om = Metrics();
+  om.matmul_calls->Add(2);
+  om.matmul_flops->Add(static_cast<uint64_t>(4 * b * num_heads * s * s * dh));
+  const float* pq = qd.data();
+  const float* pk = kd.data();
+  const float* pv = vd.data();
+  float* po = out.mutable_data();
+  // One task per (batch, head); each writes its own head columns of `out`,
+  // so the partition cannot change any bit.
+  const int64_t pair_flops = std::max<int64_t>(1, 4 * s * s * dh);
+  const int64_t grain = std::max<int64_t>(1, (1 << 18) / pair_flops);
+  runtime::ParallelFor(0, b * num_heads, grain, [&](int64_t lo, int64_t hi) {
+    AttentionTasks(pq, pk, pv, po, s, e, dh, num_heads, scale, lo, hi);
+  });
   return out;
 }
 

@@ -106,6 +106,22 @@ Tensor Softmax(const Tensor& t);
 /// Log-softmax over the last axis.
 Tensor LogSoftmax(const Tensor& t);
 
+/// Layer normalization over the last axis with per-feature gamma/beta:
+/// (x - mean) / sqrt(var + epsilon) * gamma + beta. Inference kernel, one
+/// pass per row with no temporaries; bit-identical to ag::LayerNorm's
+/// composed ops (tests/nn_test.cc), which the backward pass still needs.
+Tensor LayerNormLastAxis(const Tensor& x, const Tensor& gamma,
+                         const Tensor& beta, float epsilon);
+
+/// Multi-head self-attention core: q, k, v are (B, S, H * Dh) projections;
+/// per head h, softmax(q_h k_h^T * scale) v_h, written back merged as
+/// (B, S, H * Dh). Inference kernel: reads the heads in place instead of
+/// permuting and copying them, and is bit-identical to the composed
+/// split-heads / MatMul / Scale / Softmax / MatMul / merge ops it replaces
+/// (same ascending-k accumulation per element, same softmax rows).
+Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                          int64_t num_heads, float scale);
+
 /// Frobenius / L2 norm of all elements.
 float Norm(const Tensor& t);
 

@@ -155,7 +155,7 @@ TEST_F(DeterminismTest, QuantMatMulKernel) {
   ExpectBitIdentical(
       [&] {
         Tensor c = Tensor::Empty({m, n});
-        simd::QuantMatMul(a.data(), m, q, c.mutable_data());
+        simd::QuantMatMul(a.data(), m, q, nullptr, c.mutable_data());
         return c;
       },
       "QuantMatMul");

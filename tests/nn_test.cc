@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +78,55 @@ TEST(LayerNormTest, NormalizesLastAxis) {
     var /= 8;
     EXPECT_NEAR(mean, 0.0, 1e-4);
     EXPECT_NEAR(var, 1.0, 1e-2);
+  }
+}
+
+// Bit-for-bit equality of two tensors (NaN-safe, -0.0 vs 0.0 distinct).
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+TEST(LayerNormTest, InferenceKernelMatchesComposedOpsBitForBit) {
+  // Without a tape, LayerNorm runs the one-pass kernel; with one, the
+  // composed ops the backward needs. Both must give the same bits.
+  Rng rng(11);
+  for (int64_t len : {8, 37, 64}) {
+    nn::LayerNorm ln(len);
+    for (auto& p : ln.Parameters()) {
+      p.SetValue(Tensor::RandN(p.shape(), &rng));
+    }
+    Tensor x = Tensor::RandN({3, 5, len}, &rng, 4.0f);
+    const Tensor composed = ln.Forward(ag::Var(x, true)).value();
+    Tensor fused;
+    {
+      ag::NoGradGuard guard;
+      fused = ln.Forward(ag::Var(x, true)).value();
+    }
+    EXPECT_TRUE(SameBits(composed, fused)) << "len=" << len;
+  }
+}
+
+TEST(AttentionTest, InferenceKernelMatchesComposedOpsBitForBit) {
+  // The fused inference kernel must reproduce the split-heads / MatMul /
+  // Scale / Softmax / MatMul / merge composition exactly, including head
+  // widths and sequence lengths that are not multiples of its tiles.
+  struct Case { int64_t d_model, heads, seq; };
+  const Case cases[] = {{64, 4, 8}, {48, 4, 15}, {16, 2, 3}, {24, 3, 9}};
+  Rng rng(12);
+  for (const Case& c : cases) {
+    nn::MultiHeadSelfAttention attn(c.d_model, c.heads, 0.1f, &rng);
+    Tensor x = Tensor::RandN({3, c.seq, c.d_model}, &rng);
+    const Tensor composed = attn.Forward(ag::Var(x, true), EvalCtx()).value();
+    Tensor fused;
+    {
+      ag::NoGradGuard guard;
+      fused = attn.Forward(ag::Var(x, false), EvalCtx()).value();
+    }
+    EXPECT_TRUE(SameBits(composed, fused))
+        << "d_model=" << c.d_model << " seq=" << c.seq
+        << " max diff " << MaxAbsDiff(composed, fused);
   }
 }
 

@@ -259,16 +259,14 @@ TEST(EmbedCacheKeyTest, StatsChangeTheKey) {
   EXPECT_NE(with_a, pipeline::EmbedCacheKey(*model, x, 16, "other", &stats_a));
 }
 
-// Rebuilds the key's documented layout with the given version tag, numeric
-// mode and backend name.
+// Rebuilds the key's documented layout with the given version tag and
+// numeric mode.
 std::string KeyLayout(const models::FoundationModel& model, const Tensor& x,
-                      const std::string& version, const std::string& mode,
-                      const std::string& backend) {
+                      const std::string& version, const std::string& mode) {
   io::HashBuilder key;
   key.AddString(version);
   key.AddString("salt");
   key.AddString(mode);
-  key.AddString(backend);
   key.AddU64(16);
   key.AddString("no_stats");
   for (const auto& [name, p] : model.NamedParameters()) {
@@ -279,25 +277,20 @@ std::string KeyLayout(const models::FoundationModel& model, const Tensor& x,
   return key.HexDigest();
 }
 
-TEST(EmbedCacheKeyTest, KeyFoldsVersionNumericModeAndBackend) {
+TEST(EmbedCacheKeyTest, KeyFoldsVersionAndNumericMode) {
   auto model = TinyMoment();
   const Tensor x = Problem(9).train.x;
-  const std::string backend = simd::BackendName();
   const std::string fp32 =
       pipeline::EmbedCacheKey(*model, x, 16, "salt", nullptr);
-  EXPECT_EQ(fp32, KeyLayout(*model, x, "tsfm.embed.v5", "fp32", backend));
-  // Entries of another kernel backend (softmax reduces in another order)
-  // and of the v4 layout, which folded a scalar/SIMD switch, never hit.
-  const std::string other = backend == "scalar" ? "avx2" : "scalar";
-  EXPECT_NE(fp32, KeyLayout(*model, x, "tsfm.embed.v5", "fp32", other));
-  EXPECT_NE(fp32, KeyLayout(*model, x, "tsfm.embed.v4", "fp32", "simd"));
+  EXPECT_EQ(fp32, KeyLayout(*model, x, "tsfm.embed.v5", "fp32"));
+  // Entries of the v4 layout, which folded a scalar/SIMD switch, never hit.
+  EXPECT_NE(fp32, KeyLayout(*model, x, "tsfm.embed.v4", "fp32"));
 
   simd::ScopedQuantMode quant_on(true);
   const std::string int8 =
       pipeline::EmbedCacheKey(*model, x, 16, "salt", nullptr);
   EXPECT_NE(int8, fp32);
-  EXPECT_EQ(int8,
-            KeyLayout(*model, x, "tsfm.embed.v5", "quant-int8", backend));
+  EXPECT_EQ(int8, KeyLayout(*model, x, "tsfm.embed.v5", "quant-int8"));
 }
 
 // ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ TEST(QuantTest, QuantizeWeightScalesAndRoundTrip) {
   ASSERT_EQ(q.cols, n);
   ASSERT_EQ(q.scales.size(), static_cast<size_t>(n));
   ASSERT_EQ(q.data.size(), static_cast<size_t>(k * n));
-  ASSERT_FALSE(q.packed.empty());
+  ASSERT_TRUE(q.packed);
 
   for (int64_t j = 0; j < n; ++j) {
     float maxabs = 0.0f;
@@ -313,7 +313,7 @@ TEST(QuantTest, QuantMatMulCloseToFp32AndSelfConsistent) {
 
   const simd::QuantizedMatrix q = simd::QuantizeWeight(w.data(), k, n);
   Tensor got = Tensor::Empty({m, n});
-  simd::QuantMatMul(a.data(), m, q, got.mutable_data());
+  simd::QuantMatMul(a.data(), m, q, nullptr, got.mutable_data());
 
   // Accuracy: randn inputs at k=64 keep the per-entry quantization noise
   // well under 0.5 absolute (entries are ~N(0, 8)).
@@ -329,8 +329,72 @@ TEST(QuantTest, QuantMatMulCloseToFp32AndSelfConsistent) {
 
   // Exactness: a second run returns the same bits.
   Tensor again = Tensor::Empty({m, n});
-  simd::QuantMatMul(a.data(), m, q, again.mutable_data());
+  simd::QuantMatMul(a.data(), m, q, nullptr, again.mutable_data());
   EXPECT_EQ(std::memcmp(got.data(), again.data(),
+                        sizeof(float) * static_cast<size_t>(m * n)),
+            0);
+}
+
+TEST(QuantTest, EveryKernelBitIdenticalToScalar) {
+  // The AVX2 (int16 madd) and VNNI (u8 x s8 dpbusd, +128 offset removed by
+  // column sums) kernels must reproduce the scalar reference exactly: the
+  // integer sums are exact and the dequantize + bias epilogue rounds after
+  // every operation in all of them. Shapes cover odd k (padding of the
+  // pair / quad layouts), column tails and row-block remainders; the input
+  // carries an all-zero row, NaN and inf entries, and huge values.
+  struct Shape3 { int64_t m, k, n; };
+  const Shape3 shapes[] = {{1, 1, 1},  {5, 7, 3},    {9, 64, 64},
+                           {13, 65, 37}, {4, 128, 200}, {7, 8, 17},
+                           {6, 130, 80}};
+  Rng rng(27);
+  for (const Shape3& sh : shapes) {
+    Tensor a = Tensor::RandN({sh.m, sh.k}, &rng, 3.0f);
+    float* pa = a.mutable_data();
+    if (sh.m > 2) {
+      for (int64_t t = 0; t < sh.k; ++t) pa[sh.k + t] = 0.0f;
+      pa[2 * sh.k] = std::numeric_limits<float>::quiet_NaN();
+    }
+    if (sh.m > 3) {
+      pa[3 * sh.k] = std::numeric_limits<float>::infinity();
+      pa[4 * sh.k - 1] = 3e38f;
+    }
+    Tensor w = Tensor::RandN({sh.k, sh.n}, &rng);
+    Tensor bias = Tensor::RandN({sh.n}, &rng);
+    const simd::QuantizedMatrix q =
+        simd::QuantizeWeight(w.data(), sh.k, sh.n);
+    for (const float* b : {static_cast<const float*>(nullptr), bias.data()}) {
+      Tensor want = Tensor::Empty({sh.m, sh.n});
+      simd::QuantMatMul(a.data(), sh.m, q, b, want.mutable_data(),
+                        simd::QuantKernel::kScalar);
+      for (simd::QuantKernel kernel :
+           {simd::QuantKernel::kAuto, simd::QuantKernel::kAvx2,
+            simd::QuantKernel::kAvx512Vnni}) {
+        if (!simd::QuantKernelAvailable(kernel)) continue;
+        Tensor got = Tensor::Empty({sh.m, sh.n});
+        simd::QuantMatMul(a.data(), sh.m, q, b, got.mutable_data(), kernel);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              sizeof(float) * static_cast<size_t>(sh.m * sh.n)),
+                  0)
+            << "kernel " << static_cast<int>(kernel) << " m=" << sh.m
+            << " k=" << sh.k << " n=" << sh.n << " bias=" << (b != nullptr);
+      }
+    }
+  }
+}
+
+TEST(QuantTest, FoldedBiasMatchesSeparateAdd) {
+  Rng rng(28);
+  const int64_t m = 11, k = 40, n = 19;
+  Tensor a = Tensor::RandN({m, k}, &rng);
+  Tensor w = Tensor::RandN({k, n}, &rng);
+  Tensor bias = Tensor::RandN({n}, &rng);
+  const simd::QuantizedMatrix q = simd::QuantizeWeight(w.data(), k, n);
+  Tensor plain = Tensor::Empty({m, n});
+  simd::QuantMatMul(a.data(), m, q, nullptr, plain.mutable_data());
+  const Tensor want = Add(plain, bias);
+  Tensor got = Tensor::Empty({m, n});
+  simd::QuantMatMul(a.data(), m, q, bias.data(), got.mutable_data());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
                         sizeof(float) * static_cast<size_t>(m * n)),
             0);
 }
@@ -347,7 +411,7 @@ TEST(QuantTest, QuantMatMulCountsFlops) {
   const uint64_t calls_before = calls->value();
   const uint64_t flops_before = flops->value();
   Tensor c = Tensor::Empty({m, n});
-  simd::QuantMatMul(a.data(), m, q, c.mutable_data());
+  simd::QuantMatMul(a.data(), m, q, nullptr, c.mutable_data());
   EXPECT_EQ(calls->value() - calls_before, 1u);
   EXPECT_EQ(flops->value() - flops_before, static_cast<uint64_t>(2 * m * k * n));
 }
@@ -363,11 +427,11 @@ TEST(QuantTest, QuantMatMulBitIdenticalAcrossThreadCounts) {
 
   runtime::SetNumThreads(1);
   Tensor ref = Tensor::Empty({m, n});
-  simd::QuantMatMul(a.data(), m, q, ref.mutable_data());
+  simd::QuantMatMul(a.data(), m, q, nullptr, ref.mutable_data());
   for (int threads : {2, 8}) {
     runtime::SetNumThreads(threads);
     Tensor got = Tensor::Empty({m, n});
-    simd::QuantMatMul(a.data(), m, q, got.mutable_data());
+    simd::QuantMatMul(a.data(), m, q, nullptr, got.mutable_data());
     EXPECT_EQ(std::memcmp(got.data(), ref.data(),
                           sizeof(float) * static_cast<size_t>(m * n)),
               0)

@@ -318,28 +318,37 @@ TEST(SoftmaxTest, NonFiniteEdgeContract) {
 
 TEST(SoftmaxTest, FiniteRowsMatchClassicKernel) {
   // The non-finite pre-pass must leave ordinary rows to the classic
-  // max-subtracted arithmetic: each row is exactly the row kernel's output,
-  // and within a few ulps of the libm formulation.
+  // max-subtracted arithmetic. Each row must equal, bit for bit, a classic
+  // kernel written out here from simd::ExpS with the documented
+  // denominator order (8 lane sums over full 8-blocks, the fixed fold, then
+  // the tail), which every backend follows; and it must stay within a few
+  // ulps of the libm formulation.
   Rng rng(29);
   Tensor t = Tensor::RandN({8, 33}, &rng, 5.0f);
   Tensor s = Softmax(t);
   for (int64_t i = 0; i < 8; ++i) {
-    std::vector<float> want(33);
-    std::vector<float> kernel(33);
     const float* row = t.data() + i * 33;
-    simd::SoftmaxRow(row, kernel.data(), 33);
-    // Reference: classic max-subtracted kernel in libm arithmetic.
     float m = row[0];
     for (int64_t j = 1; j < 33; ++j) m = std::max(m, row[j]);
-    float denom = 0.0f;
+    std::vector<float> e(33);
+    std::vector<float> libm(33);
+    float lane[8] = {};
+    float libm_denom = 0.0f;
     for (int64_t j = 0; j < 33; ++j) {
-      want[static_cast<size_t>(j)] = std::exp(row[j] - m);
-      denom += want[static_cast<size_t>(j)];
+      e[static_cast<size_t>(j)] = simd::ExpS(row[j] - m);
+      if (j < 32) lane[j % 8] += e[static_cast<size_t>(j)];
+      libm[static_cast<size_t>(j)] = std::exp(row[j] - m);
+      libm_denom += libm[static_cast<size_t>(j)];
     }
+    float denom = ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+                  ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+    denom += e[32];
     const float inv = 1.0f / denom;
+    const float libm_inv = 1.0f / libm_denom;
     for (int64_t j = 0; j < 33; ++j) {
-      EXPECT_EQ(s.at({i, j}), kernel[static_cast<size_t>(j)]) << i << "," << j;
-      const float w = want[static_cast<size_t>(j)] * inv;
+      EXPECT_EQ(s.at({i, j}), e[static_cast<size_t>(j)] * inv)
+          << i << "," << j;
+      const float w = libm[static_cast<size_t>(j)] * libm_inv;
       EXPECT_NEAR(s.at({i, j}), w, 4e-6f * w + 1e-9f) << i << "," << j;
     }
   }
