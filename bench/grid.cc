@@ -162,10 +162,7 @@ std::string CellResult::Cell() const {
     accs.push_back(record.measured->test_accuracy);
   }
   if (accs.empty()) return "-";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f+-%.3f", stats::Mean(accs),
-                stats::SampleStd(accs));
-  return buf;
+  return stats::FormatMeanStd(accs);
 }
 
 double CellResult::MeanAccuracy() const {

@@ -64,34 +64,6 @@ TimeSeriesDataset Select(const TimeSeriesDataset& ds,
   return out;
 }
 
-TimeSeriesDataset Subsample(const TimeSeriesDataset& ds, int64_t max_n,
-                            Rng* rng) {
-  if (ds.size() <= max_n) return ds;
-  std::vector<int64_t> idx(static_cast<size_t>(ds.size()));
-  std::iota(idx.begin(), idx.end(), 0);
-  rng->Shuffle(&idx);
-  idx.resize(static_cast<size_t>(max_n));
-  std::sort(idx.begin(), idx.end());
-  return Select(ds, idx);
-}
-
-TimeSeriesDataset TruncateLength(const TimeSeriesDataset& ds, int64_t max_t) {
-  if (ds.length() <= max_t) return ds;
-  TimeSeriesDataset out = ds;
-  // Datasets promise dense storage (baselines read x.data() row-major), so
-  // the truncating view is packed before it escapes.
-  out.x = Slice(ds.x, 1, 0, max_t).Contiguous();
-  return out;
-}
-
-TimeSeriesDataset TruncateChannels(const TimeSeriesDataset& ds,
-                                   int64_t max_d) {
-  if (ds.channels() <= max_d) return ds;
-  TimeSeriesDataset out = ds;
-  out.x = Slice(ds.x, 2, 0, max_d).Contiguous();
-  return out;
-}
-
 std::vector<std::vector<int64_t>> MakeBatches(int64_t n, int64_t batch_size,
                                               Rng* rng) {
   TSFM_CHECK_GT(batch_size, 0);

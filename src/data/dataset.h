@@ -46,16 +46,6 @@ TimeSeriesDataset NormalizeWith(const TimeSeriesDataset& ds,
 TimeSeriesDataset Select(const TimeSeriesDataset& ds,
                          const std::vector<int64_t>& indices);
 
-/// Random subsample of up to `max_n` items (stable if size() <= max_n).
-TimeSeriesDataset Subsample(const TimeSeriesDataset& ds, int64_t max_n,
-                            Rng* rng);
-
-/// Truncates each series to the first `max_t` steps (no-op if shorter).
-TimeSeriesDataset TruncateLength(const TimeSeriesDataset& ds, int64_t max_t);
-
-/// Keeps only the first `max_d` channels (no-op if fewer).
-TimeSeriesDataset TruncateChannels(const TimeSeriesDataset& ds, int64_t max_d);
-
 /// Splits [0, n) into shuffled mini-batches of size `batch_size` (last batch
 /// may be smaller). If `rng` is null, order is sequential.
 std::vector<std::vector<int64_t>> MakeBatches(int64_t n, int64_t batch_size,

@@ -1,13 +1,11 @@
 #include "experiments/table.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/check.h"
-#include "stats/stats.h"
 
 namespace tsfm::experiments {
 
@@ -74,21 +72,6 @@ std::string FormatDouble(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
   return buf;
-}
-
-std::string SummaryCell(const std::vector<std::string>& seed_cells) {
-  std::vector<double> values;
-  for (const auto& cell : seed_cells) {
-    char* end = nullptr;
-    const double v = std::strtod(cell.c_str(), &end);
-    if (end == cell.c_str() || (end != nullptr && *end != '\0')) {
-      return cell;  // verdict string (COM/TO) dominates the summary
-    }
-    values.push_back(v);
-  }
-  if (values.empty()) return "-";
-  return FormatDouble(stats::Mean(values)) + "+-" +
-         FormatDouble(stats::SampleStd(values));
 }
 
 }  // namespace tsfm::experiments

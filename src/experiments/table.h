@@ -32,10 +32,6 @@ class Table {
 /// Formats a double with `digits` decimals.
 std::string FormatDouble(double value, int digits = 3);
 
-/// "mean+-std" cell from per-seed values, or a verdict string if any seed has
-/// one (verdicts win over numbers, as in the paper's tables).
-std::string SummaryCell(const std::vector<std::string>& seed_cells);
-
 }  // namespace tsfm::experiments
 
 #endif  // TSFM_EXPERIMENTS_TABLE_H_

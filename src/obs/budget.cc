@@ -157,12 +157,6 @@ void BeginBudgetRun() {
   Rearm(s);
 }
 
-double BudgetElapsedSeconds() {
-  MonitorState& s = State();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return std::chrono::duration<double>(Clock::now() - s.start).count();
-}
-
 bool BudgetTripped() {
   return State().tripped.load(std::memory_order_relaxed);
 }

@@ -61,9 +61,6 @@ BudgetLimits CurrentBudget();
 /// budget covers that run, not the process.
 void BeginBudgetRun();
 
-/// Seconds since the monitored window started.
-double BudgetElapsedSeconds();
-
 /// Polls the budget: reads the allocator's peak live bytes through the
 /// metrics registry and the elapsed wall-clock, warns once on stderr past
 /// the soft threshold, and past a hard cap latches and returns

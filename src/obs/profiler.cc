@@ -299,11 +299,4 @@ void ArmProfileAtExit(const std::string& path) {
 
 }  // namespace internal
 
-void InstallProfileFromEnv() {
-  const char* env = std::getenv("TSFM_PROFILE");
-  if (env == nullptr || env[0] == '\0') return;
-  internal::ArmProfileAtExit(env);
-  EnableTracing();
-}
-
 }  // namespace tsfm::obs

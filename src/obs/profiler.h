@@ -69,11 +69,6 @@ class Profile {
 /// Returns false if the file cannot be written.
 bool WriteProfile(const Profile& profile, const std::string& path);
 
-/// If the TSFM_PROFILE environment variable names an output file, enables
-/// tracing now and registers an atexit hook that writes the profile of the
-/// whole run there. Idempotent. Safe to call from the CLI's flag handling.
-void InstallProfileFromEnv();
-
 namespace internal {
 
 /// Registers the atexit profile writer for `path` without touching the

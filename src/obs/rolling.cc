@@ -119,7 +119,6 @@ void RollingHistogram::Observe(double v) {
       s.epoch.compare_exchange_strong(seen, epoch,
                                       std::memory_order_acq_rel)) {
     s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0.0, std::memory_order_relaxed);
     s.min.store(std::numeric_limits<double>::infinity(),
                 std::memory_order_relaxed);
     s.max.store(-std::numeric_limits<double>::infinity(),
@@ -129,7 +128,6 @@ void RollingHistogram::Observe(double v) {
   const int bi = Histogram::BucketIndex(v);
   s.buckets[bi].fetch_add(1, std::memory_order_relaxed);
   s.count.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&s.sum, v);
   AtomicMinDouble(&s.min, v);
   AtomicMaxDouble(&s.max, v);
 
@@ -168,17 +166,6 @@ uint64_t RollingHistogram::WindowCount() const {
   for (const Slot& s : slots_) {
     if (InWindow(s.epoch.load(std::memory_order_acquire), now_epoch)) {
       total += s.count.load(std::memory_order_relaxed);
-    }
-  }
-  return total;
-}
-
-double RollingHistogram::WindowSum() const {
-  const int64_t now_epoch = internal::RollingNowNs() / kRollingSlotNs;
-  double total = 0.0;
-  for (const Slot& s : slots_) {
-    if (InWindow(s.epoch.load(std::memory_order_acquire), now_epoch)) {
-      total += s.sum.load(std::memory_order_relaxed);
     }
   }
   return total;

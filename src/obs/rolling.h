@@ -88,7 +88,6 @@ class RollingHistogram {
 
   // Sliding window (merge-on-read over the ring).
   uint64_t WindowCount() const;
-  double WindowSum() const;
   /// Quantile over only the last kRollingWindowSeconds of observations,
   /// clamped to the window's own min/max. Returns 0 when the window is
   /// empty.
@@ -104,7 +103,6 @@ class RollingHistogram {
   struct Slot {
     std::atomic<int64_t> epoch{-1};
     std::atomic<uint64_t> count{0};
-    std::atomic<double> sum{0.0};
     std::atomic<double> min{std::numeric_limits<double>::infinity()};
     std::atomic<double> max{-std::numeric_limits<double>::infinity()};
     std::atomic<uint64_t> buckets[Histogram::kNumBuckets] = {};

@@ -25,7 +25,6 @@ class Optimizer {
   void ZeroGrad();
 
   float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
   int64_t step_count() const { return step_count_; }
 
  protected:

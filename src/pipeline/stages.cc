@@ -299,13 +299,16 @@ std::string EmbedCacheKey(const models::FoundationModel& model,
   // different train stats on the same raw tensor can never hit a stale
   // entry.
   io::HashBuilder key;
-  key.AddString("tsfm.embed.v5");
+  key.AddString("tsfm.embed.v6");
   key.AddString(salt);
   // Numeric mode is part of the key: the int8 Linear path produces results
   // that differ (within the accuracy epsilon) from fp32, so their embeddings
-  // must never share an entry. The kernel backend is not: every backend
-  // gives the same bits (simd/simd_math.h, simd/quant.h).
+  // must never share an entry. So is the fp32 contraction mode, which the
+  // build target fixes: a cache directory shared by an FMA and a non-FMA
+  // build must not serve one's bits to the other. The kernel backend is
+  // not: every backend gives the same bits (simd/simd_math.h, simd/quant.h).
   key.AddString(simd::QuantModeEnabled() ? "quant-int8" : "fp32");
+  key.AddString(FusedMulAddEnabled() ? "fma" : "mul-add");
   key.AddU64(static_cast<uint64_t>(batch_size));
   if (stats != nullptr && stats->mean.numel() > 0) {
     key.AddString("stats");

@@ -58,7 +58,6 @@ class AdaptStage : public Stage {
                        const ExecutionContext& ctx) const override;
 
   const core::Adapter* adapter() const { return adapter_.get(); }
-  std::shared_ptr<core::Adapter> shared_adapter() const { return adapter_; }
   /// Wall-clock of the last Fit call (0 before any Fit). Drivers surface it
   /// as FineTuneResult::adapter_fit_seconds.
   double last_fit_seconds() const { return last_fit_seconds_; }
@@ -85,9 +84,6 @@ class EmbedStage : public Stage {
                        const ExecutionContext& ctx) const override;
 
   const models::FoundationModel& model() const { return *model_; }
-  std::shared_ptr<const models::FoundationModel> shared_model() const {
-    return model_;
-  }
 
  private:
   std::shared_ptr<const models::FoundationModel> model_;
@@ -121,9 +117,6 @@ class HeadStage : public Stage {
   /// Mean training loss of the final Fit epoch. Requires fitted().
   double final_loss() const { return final_loss_; }
   const models::ClassificationHead& head() const { return *head_; }
-  std::shared_ptr<models::ClassificationHead> shared_head() const {
-    return head_;
-  }
 
  private:
   std::shared_ptr<models::ClassificationHead> head_;

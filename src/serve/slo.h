@@ -50,10 +50,6 @@ class SloTracker {
   /// threshold is configured.
   void Evaluate(bool force = false);
 
-  bool in_breach() const {
-    return breach_.load(std::memory_order_relaxed);
-  }
-
  private:
   const SloOptions options_;
   obs::RollingHistogram* const latency_seconds_;

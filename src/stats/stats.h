@@ -54,7 +54,7 @@ std::vector<double> RankDescending(const std::vector<double>& values);
 std::vector<double> AverageRanks(
     const std::vector<std::vector<double>>& per_dataset);
 
-/// Formats "0.123 +- 0.456" paper-style from per-seed values.
+/// Formats "0.123+-0.456" paper-style from per-seed values.
 std::string FormatMeanStd(const std::vector<double>& values);
 
 /// Regularized lower incomplete gamma function P(a, x), a > 0, x >= 0.

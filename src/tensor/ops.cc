@@ -375,12 +375,18 @@ constexpr int kMr = 6;
 // acc + a * b with a single rounding wherever the target has FMA (every
 // AVX2 and AArch64 build), so the GEMM tiles and the attention kernel
 // round identically whatever shape the vectorizer gives each loop.
-inline float MulAdd(float a, float b, float acc) {
 #if defined(__FMA__) || defined(__aarch64__)
-  return std::fma(a, b, acc);
+constexpr bool kFusedMulAdd = true;
 #else
-  return acc + a * b;
+constexpr bool kFusedMulAdd = false;
 #endif
+
+inline float MulAdd(float a, float b, float acc) {
+  if constexpr (kFusedMulAdd) {
+    return std::fma(a, b, acc);
+  } else {
+    return acc + a * b;
+  }
 }
 // Rows per parallel task (a multiple of kMr so parallel splits and the
 // serial path tile rows identically).
@@ -574,6 +580,8 @@ void AttentionTasks(const float* pq, const float* pk, const float* pv,
 }
 
 }  // namespace
+
+bool FusedMulAddEnabled() { return kFusedMulAdd; }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   TSFM_CHECK_GE(a.ndim(), 2);

@@ -60,6 +60,11 @@ Tensor Pow(const Tensor& t, float p);
 /// dimensions are broadcast. (..., m, k) x (..., k, n) -> (..., m, n).
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
+/// True when the fp32 MatMul and attention kernels round each acc + a * b
+/// once (std::fma). The build target fixes it, so fp32 bits can differ
+/// between an FMA build and a non-FMA build of the same source.
+bool FusedMulAddEnabled();
+
 /// Swaps the last two dimensions. Zero-copy: returns a strided view that
 /// aliases the input's storage.
 Tensor TransposeLast2(const Tensor& t);

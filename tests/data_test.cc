@@ -80,28 +80,6 @@ TEST(DatasetTest, SelectPreservesPairing) {
   EXPECT_EQ(sel.x.at({1, 0, 0}), 1.0f);
 }
 
-TEST(DatasetTest, SubsampleCapsSize) {
-  data::TimeSeriesDataset ds = TinyDataset();
-  Rng rng(1);
-  EXPECT_EQ(data::Subsample(ds, 10, &rng).size(), 4);  // no-op
-  data::TimeSeriesDataset sub = data::Subsample(ds, 2, &rng);
-  EXPECT_EQ(sub.size(), 2);
-  EXPECT_TRUE(data::Validate(sub).ok());
-}
-
-TEST(DatasetTest, TruncateLengthAndChannels) {
-  data::TimeSeriesDataset ds = TinyDataset();
-  data::TimeSeriesDataset t = data::TruncateLength(ds, 2);
-  EXPECT_EQ(t.length(), 2);
-  EXPECT_EQ(t.x.at({0, 1, 0}), 2.0f);
-  data::TimeSeriesDataset c = data::TruncateChannels(ds, 1);
-  EXPECT_EQ(c.channels(), 1);
-  EXPECT_EQ(c.x.at({0, 0, 0}), 1.0f);
-  // No-ops when under the cap.
-  EXPECT_EQ(data::TruncateLength(ds, 100).length(), 3);
-  EXPECT_EQ(data::TruncateChannels(ds, 100).channels(), 2);
-}
-
 TEST(DatasetTest, MakeBatchesCoversAllIndices) {
   Rng rng(2);
   auto batches = data::MakeBatches(10, 3, &rng);

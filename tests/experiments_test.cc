@@ -48,12 +48,6 @@ TEST(TableTest, CsvEscaping) {
   std::remove(path.c_str());
 }
 
-TEST(TableTest, SummaryCell) {
-  EXPECT_EQ(experiments::SummaryCell({"0.5", "0.7"}), "0.600+-0.141");
-  EXPECT_EQ(experiments::SummaryCell({"0.5", "COM"}), "COM");
-  EXPECT_EQ(experiments::SummaryCell({"TO"}), "TO");
-}
-
 TEST(MethodLabelTest, Labels) {
   core::AdapterOptions o;
   EXPECT_EQ(experiments::MethodLabel(std::nullopt, o), "no_adapter");

@@ -1,6 +1,5 @@
 // Tests for the extension features beyond the paper's core experiments:
-// the supervised LDA adapter, Friedman/Nemenyi rank statistics, and MOMENT's
-// imputation capability.
+// the supervised LDA adapter and Friedman/Nemenyi rank statistics.
 
 #include <cmath>
 #include <cstdio>
@@ -9,9 +8,7 @@
 
 #include "core/lda_adapter.h"
 #include "core/pca_adapter.h"
-#include "data/corpus.h"
-#include "data/uea_like.h"
-#include "models/moment.h"
+#include "data/dataset.h"
 #include "stats/stats.h"
 #include "tensor/ops.h"
 
@@ -197,86 +194,6 @@ TEST(NemenyiTest, MatchesDemsarTable) {
   EXPECT_LT(*cd_big, *cd);
   EXPECT_FALSE(stats::NemenyiCriticalDifference(11, 12).ok());
   EXPECT_FALSE(stats::NemenyiCriticalDifference(5, 1).ok());
-}
-
-// ------------------------------ Imputation ---------------------------------
-
-class ImputationTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    Rng rng(7);
-    // The reconstruction-quality assertion needs the (still CPU-sized)
-    // "small" config; the unit-test config is too weak to beat zero-fill.
-    models::FoundationModelConfig config = models::MomentSmallConfig();
-    config.dropout = 0.0f;
-    model_ = std::make_unique<models::MomentModel>(config, &rng);
-    models::PretrainOptions o;
-    o.corpus_size = 256;
-    o.series_length = 32;
-    o.epochs = 6;
-    ASSERT_TRUE(model_->Pretrain(o).ok());
-  }
-
-  std::unique_ptr<models::MomentModel> model_;
-};
-
-TEST_F(ImputationTest, ReconstructionBeatsZeroFill) {
-  Tensor series = data::GeneratePretrainCorpus(16, 32, 99);
-  Rng rng(3);
-  Tensor mask = Tensor::Zeros(series.shape());
-  for (int64_t i = 0; i < mask.numel(); ++i) {
-    if (rng.Uniform() < 0.25) mask.mutable_data()[i] = 1.0f;
-  }
-  auto imputed = model_->Impute(series, mask);
-  ASSERT_TRUE(imputed.ok()) << imputed.status().ToString();
-  double err_imputed = 0.0, err_zero = 0.0;
-  int64_t masked = 0;
-  for (int64_t i = 0; i < series.numel(); ++i) {
-    if (mask[i] == 0.0f) continue;
-    ++masked;
-    const double truth = series[i];
-    err_imputed += ((*imputed)[i] - truth) * ((*imputed)[i] - truth);
-    err_zero += truth * truth;  // zero-fill error
-  }
-  ASSERT_GT(masked, 0);
-  EXPECT_LT(err_imputed / masked, err_zero / masked)
-      << "imputation must beat filling with zeros";
-}
-
-TEST_F(ImputationTest, UnmaskedPositionsUntouched) {
-  Tensor series = data::GeneratePretrainCorpus(4, 32, 100);
-  Tensor mask = Tensor::Zeros(series.shape());
-  mask.at({0, 5}) = 1.0f;
-  auto imputed = model_->Impute(series, mask);
-  ASSERT_TRUE(imputed.ok());
-  for (int64_t i = 0; i < series.numel(); ++i) {
-    if (mask[i] == 0.0f) {
-      EXPECT_EQ((*imputed)[i], series[i]);
-    }
-  }
-  EXPECT_NE(imputed->at({0, 5}), series.at({0, 5}));
-}
-
-TEST_F(ImputationTest, TailBeyondPatchesPreserved) {
-  // T = 35 with patch_len 8 covers 32 steps; positions 32..34 can't be
-  // reconstructed and must come back unchanged even if masked.
-  Rng rng(5);
-  Tensor series = Tensor::RandN({2, 35}, &rng);
-  Tensor mask = Tensor::Ones(series.shape());
-  auto imputed = model_->Impute(series, mask);
-  ASSERT_TRUE(imputed.ok());
-  for (int64_t i = 0; i < 2; ++i) {
-    for (int64_t s = 32; s < 35; ++s) {
-      EXPECT_EQ(imputed->at({i, s}), series.at({i, s}));
-    }
-  }
-}
-
-TEST_F(ImputationTest, RejectsBadShapes) {
-  Tensor series(Shape{2, 32});
-  EXPECT_FALSE(model_->Impute(series, Tensor(Shape{2, 16})).ok());
-  EXPECT_FALSE(model_->Impute(Tensor(Shape{2, 4, 4}), Tensor(Shape{2, 4, 4}))
-                   .ok());
 }
 
 }  // namespace
